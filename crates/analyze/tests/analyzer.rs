@@ -221,12 +221,7 @@ fn sanctioned_surface_is_pinned() {
     );
     assert_eq!(
         cfg.boundary_fns,
-        [
-            "predict",
-            "prepare_int8",
-            "reshape_for_output",
-            "adopt_published"
-        ]
+        ["prepare_int8", "reshape_for_output", "adopt_published"]
     );
     assert_eq!(
         cfg.sanctioned_modules,

@@ -61,7 +61,7 @@ fn bench_voyager() {
     });
     let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
     bench("voyager/predict_batch", 10, || {
-        std::hint::black_box(model.predict(&batch, 1));
+        std::hint::black_box(model.predict_fast(&batch, 1));
     });
 }
 

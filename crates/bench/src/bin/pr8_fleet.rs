@@ -36,7 +36,6 @@ const SWAP_WORKLOAD: WorkloadId = WorkloadId(0);
 
 fn mode_name(mode: PredictMode) -> &'static str {
     match mode {
-        PredictMode::Tape => "tape",
         PredictMode::FastF32 => "fast_f32",
         PredictMode::FastInt8 => "fast_int8",
         PredictMode::Table => "table",

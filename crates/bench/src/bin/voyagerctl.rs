@@ -23,13 +23,13 @@
 //!                        [--clients C] [--max-batch B]
 //!                        [--max-delay-us U] [--degree D]
 //!                        [--config test|scaled]
-//!                        [--mode tape|fast|int8|table]
+//!                        [--mode fast|int8|table]
 //!     Drive the microbatched inference server with C client threads
-//!     and print throughput plus p50/p99 latency. `--mode fast` serves
-//!     through the tape-free f32 engine, `--mode int8` through the
-//!     quantized one, `--mode table` through distilled lookup tables
-//!     (built from the stream's own windows; misses fall back to
-//!     int8); `tape` (default) is the reference path.
+//!     and print throughput plus p50/p99 latency. `--mode fast`
+//!     (default) serves through the f32 inference engine, `--mode
+//!     int8` through the quantized one, `--mode table` through
+//!     distilled lookup tables (built from the stream's own windows;
+//!     misses fall back to int8).
 //! voyagerctl fleet-bench [--shards N] [--clients C] [--requests R]
 //!                        [--depth D] [--slo-us S] [--train-steps T]
 //!     Spawn an N-shard multi-tenant fleet (shards cycle through the
@@ -300,7 +300,7 @@ fn cmd_train(args: &[String]) -> CliResult {
 
 fn cmd_serve_bench(args: &[String]) -> CliResult {
     let [source, rest @ ..] = args else {
-        return Err("usage: serve-bench <benchmark|trace.vtrc> [--requests N] [--clients C] [--max-batch B] [--max-delay-us U] [--degree D] [--config test|scaled] [--mode tape|fast|int8|table]".into());
+        return Err("usage: serve-bench <benchmark|trace.vtrc> [--requests N] [--clients C] [--max-batch B] [--max-delay-us U] [--degree D] [--config test|scaled] [--mode fast|int8|table]".into());
     };
     let flags = parse_flags(rest)?;
     let cfg = config_preset(flags.get("config"))?;
@@ -321,11 +321,10 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
         .transpose()?
         .unwrap_or(2);
     let mode = match flags.get("mode").map(String::as_str) {
-        None | Some("tape") => PredictMode::Tape,
-        Some("fast") => PredictMode::FastF32,
+        None | Some("fast") => PredictMode::FastF32,
         Some("int8") => PredictMode::FastInt8,
         Some("table") => PredictMode::Table,
-        Some(bad) => return Err(format!("unknown --mode {bad:?} (tape|fast|int8|table)").into()),
+        Some(bad) => return Err(format!("unknown --mode {bad:?} (fast|int8|table)").into()),
     };
     let mb = MicrobatchConfig {
         max_batch: flags

@@ -1,29 +1,31 @@
-//! Tape-free inference engine: `predict_fast` (f32) and
-//! `predict_int8`.
+//! The inference engine: `predict_fast` (f32) and `predict_int8`.
 //!
-//! [`VoyagerModel::predict`] builds a full autograd
-//! [`Session`](voyager_nn::Session) per call: every parameter tensor is
-//! cloned onto the tape, every op allocates its output, and the tape
-//! records backward metadata that inference never uses. This module
-//! executes the same forward graph directly:
+//! The autograd tape ([`Session`](voyager_nn::Session)) is the training
+//! engine only; every prediction — online evaluation (§5.1), serving
+//! (§5.4), distillation — runs here. This module executes the model's
+//! forward graph directly:
 //!
 //! * **No autograd bookkeeping** — weights are read in place from the
-//!   [`ParamStore`](voyager_nn::ParamStore); nothing is cloned.
+//!   [`ParamStore`](voyager_nn::ParamStore); nothing is cloned and no
+//!   backward metadata is recorded.
 //! * **Preallocated buffer arena** — every intermediate lives in a
 //!   per-model [`Arena`] slot that is resized in place, so steady-state
 //!   calls (same batch shape) perform zero heap allocation in the hot
 //!   loop.
 //! * **Bounded-heap top-k** — candidate selection goes through
-//!   [`voyager_tensor::topk`], shared with the tape path.
+//!   [`voyager_tensor::topk`].
 //!
-//! The f32 path is **bitwise identical** to the tape path: it calls the
-//! same GEMM kernels in the same order and the same scalar formulas
+//! The f32 path is **bitwise identical** to the training graph's
+//! forward pass (without dropout): it calls the same GEMM kernels in the
+//! same order and the same scalar formulas
 //! ([`voyager_tensor::infer::sigmoid`] / [`softmax_rows_inplace`]) the
-//! tape ops use. The int8 path swaps the four big GEMMs (two fused LSTM
-//! gate matrices, two heads) for [`voyager_nn::qinfer`] quantized
-//! layers over the `i8×i8→i32` kernel; embeddings, attention, and gate
-//! nonlinearities stay in f32, mirroring the paper's Section 5.4 scheme
-//! (8-bit weights, <1% accuracy loss).
+//! tape ops use. The unit test
+//! `fast_path_matches_training_graph_bitwise` pins this. The int8 path
+//! swaps the four big GEMMs (two fused LSTM gate matrices, two heads)
+//! for [`voyager_nn::qinfer`] quantized layers over the `i8×i8→i32`
+//! kernel; embeddings, attention, and gate nonlinearities stay in f32,
+//! mirroring the paper's Section 5.4 scheme (8-bit weights, <1%
+//! accuracy loss).
 
 use std::cmp::Ordering;
 
@@ -84,7 +86,7 @@ enum Int8PageHead {
 /// `[start, end)` extents. Buffers are `resize`d in place, so
 /// steady-state calls allocate nothing.
 #[derive(Debug, Default)]
-pub(crate) struct HierScratch {
+struct HierScratch {
     /// `[batch, clusters]` cluster probabilities.
     cluster: Tensor2,
     /// `[1, branch]` leaf logits (then probabilities) of one cluster.
@@ -105,7 +107,7 @@ pub(crate) struct HierScratch {
 /// Reusable scratch for [`rank_row`]: the bounded top-k heap and the
 /// selected page/offset index lists.
 #[derive(Debug, Default)]
-pub(crate) struct RankScratch {
+struct RankScratch {
     heap: Vec<(f32, usize)>,
     pages: Vec<usize>,
     offsets: Vec<usize>,
@@ -119,8 +121,8 @@ pub(crate) struct InferState {
     arena: Arena,
     qx: QuantizedRows,
     qh: QuantizedRows,
-    pub(crate) rank: RankScratch,
-    pub(crate) hier: HierScratch,
+    rank: RankScratch,
+    hier: HierScratch,
     int8: Option<Int8Weights>,
 }
 
@@ -151,10 +153,9 @@ impl InferState {
 }
 
 /// Ranks up to `k` `(page, offset, score)` candidates for one batch
-/// row, exactly as the historical `predict` loop did: top `k` pages ×
-/// top `min(k, 4)` offsets, scored by probability product, stable-
-/// sorted descending. Shared by the tape and tape-free paths.
-pub(crate) fn rank_row(
+/// row: top `k` pages × top `min(k, 4)` offsets, scored by probability
+/// product, stable-sorted descending.
+fn rank_row(
     page_probs: &Tensor2,
     offset_probs: &Tensor2,
     row: usize,
@@ -204,10 +205,8 @@ pub(crate) fn rank_row(
 /// Scores the hierarchical page head (f32): one `[batch, clusters]`
 /// cluster GEMM + softmax, then — per row — branch GEMMs for only the
 /// top-`fan` clusters. Leaves `(class, p_cluster * p_branch)` candidate
-/// lists in `scratch`. This is the ONE scoring routine both
-/// [`VoyagerModel::predict`] and [`VoyagerModel::predict_fast`] call,
-/// so the two paths agree bit for bit by construction.
-pub(crate) fn hier_candidates(
+/// lists in `scratch`.
+fn hier_candidates(
     store: &ParamStore,
     hs: &HierarchicalSoftmax,
     h: &Tensor2,
@@ -256,7 +255,7 @@ pub(crate) fn hier_candidates(
 /// Int8 twin of [`hier_candidates`]: cluster logits and shortlisted
 /// branch logits run through the quantized head; shortlist logic and
 /// softmaxes are shared.
-pub(crate) fn hier_candidates_int8(
+fn hier_candidates_int8(
     qhead: &QuantizedHierHead,
     qx: &QuantizedRows,
     fan: usize,
@@ -309,7 +308,7 @@ fn hier_score_shortlist(
             let out = scratch.branch.row_mut(0);
             branch_logits_into(row, c, out);
             // Only the last cluster can hold padding; the additive
-            // mask matches the tape path's `mask_branch_logits`.
+            // mask matches the training graph's `mask_branch_logits`.
             for (j, o) in out.iter_mut().enumerate() {
                 if c * branch + j >= num_classes {
                     *o += PAD_MASK;
@@ -332,7 +331,7 @@ fn hier_score_shortlist(
 /// [`rank_row`]'s twin over the sparse hierarchical candidate lists:
 /// top `k` candidate pages × top `min(k, 4)` offsets, probability
 /// product, same stable descending order.
-pub(crate) fn rank_row_sparse(
+fn rank_row_sparse(
     hier: &HierScratch,
     row: usize,
     offset_probs: &Tensor2,
@@ -378,7 +377,7 @@ pub(crate) fn rank_row_sparse(
 }
 
 /// Copies embedding-table rows for one timestep into `dst` (the
-/// tape path's `Session::gather` is also a row copy).
+/// training graph's `Session::gather` is also a row copy).
 fn gather_step(dst: &mut Tensor2, table: &Tensor2, seqs: &[Vec<usize>], step: usize) {
     for (i, seq) in seqs.iter().enumerate() {
         let id = seq[step];
@@ -417,15 +416,17 @@ fn lstm_elementwise(gates: &Tensor2, h: &mut Tensor2, c: &mut Tensor2, hidden: u
 }
 
 impl VoyagerModel {
-    /// Tape-free degree-`k` inference, bitwise-identical to
-    /// [`VoyagerModel::predict`] but without autograd bookkeeping: no
-    /// parameter clones, no tape nodes, and (in steady state, with a
-    /// stable batch shape) zero heap allocation in the forward hot
-    /// loop — all intermediates live in a per-model buffer arena.
+    /// Degree-`k` inference: returns, per sequence, up to `k`
+    /// `(page_token, offset_token, score)` candidates ranked by the
+    /// product of page and offset probabilities (the paper's top-k
+    /// extension of its argmax inference). No parameter clones, no tape
+    /// nodes, and (in steady state, with a stable batch shape) zero
+    /// heap allocation in the forward hot loop — all intermediates live
+    /// in a per-model buffer arena.
     ///
     /// # Panics
     ///
-    /// Panics on a ragged or empty batch (like `predict`).
+    /// Panics on a ragged or empty batch.
     pub fn predict_fast(&mut self, batch: &SeqBatch, k: usize) -> Vec<Vec<(u32, u32, f32)>> {
         note_fast_path_call();
         self.forward_fast(batch, false);
@@ -443,7 +444,7 @@ impl VoyagerModel {
     ///
     /// # Panics
     ///
-    /// Panics on a ragged or empty batch (like `predict`).
+    /// Panics on a ragged or empty batch.
     pub fn predict_int8(&mut self, batch: &SeqBatch, k: usize) -> Vec<Vec<(u32, u32, f32)>> {
         note_fast_path_call();
         if self.infer.int8.is_none() {
@@ -494,14 +495,14 @@ impl VoyagerModel {
     }
 
     /// Teacher-side soft labels for distillation: runs the tape-free
-    /// f32 forward pass (bitwise-identical to the tape path) and
+    /// f32 forward pass (the one `predict_fast` runs) and
     /// extracts, per batch row, the top-`k_page` page and top-
     /// `k_offset` offset `(token, probability)` candidates from the
     /// softmaxed output heads.
     ///
     /// # Panics
     ///
-    /// Panics on a ragged or empty batch (like `predict`).
+    /// Panics on a ragged or empty batch.
     pub fn predict_soft(
         &mut self,
         batch: &SeqBatch,
@@ -581,7 +582,7 @@ impl VoyagerModel {
 
         for step in 0..batch.seq_len() {
             // Embedding lookups + concat into the LSTM input `x`,
-            // mirroring the tape path's gather / attention /
+            // mirroring the training graph's gather / attention /
             // concat_cols chain (all copies and the same arithmetic).
             let mut x = st.arena.acquire(slots.x, b, input_dim);
             let mut col = 0;
@@ -828,7 +829,8 @@ impl VoyagerModel {
 
 #[cfg(test)]
 mod tests {
-    use crate::{FeatureSet, SeqBatch, VoyagerConfig, VoyagerModel};
+    use crate::model::PageHead;
+    use crate::{FeatureSet, OutputHead, SeqBatch, VoyagerConfig, VoyagerModel};
     use voyager_tensor::Tensor2;
 
     fn batch(b: usize, l: usize) -> SeqBatch {
@@ -853,13 +855,35 @@ mod tests {
         }
     }
 
+    /// The fast path's f32 outputs in the shape
+    /// [`VoyagerModel::forward_reference`] returns them: page
+    /// probabilities (dense head) or the page hidden state
+    /// (hierarchical head), then offset probabilities.
+    fn fast_outputs(m: &VoyagerModel) -> (Tensor2, Tensor2) {
+        let st = &m.infer;
+        let slots = st.slots.expect("forward_fast ran");
+        let page = match &m.page_head {
+            PageHead::Dense(_) => slots.page_logits,
+            PageHead::Hier(_) => slots.page_h,
+        };
+        (
+            st.arena.get(page).clone(),
+            st.arena.get(slots.off_logits).clone(),
+        )
+    }
+
+    fn bits(t: &Tensor2) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn predict_fast_is_bitwise_identical_to_predict() {
+    fn fast_path_matches_training_graph_bitwise() {
         // The guarantee the engine is built on: for every architecture
-        // variant, every batch size, and every k, the tape-free f32
-        // path reproduces the tape path bit for bit (assert_eq on f32
-        // scores is exact equality).
-        let variants = [
+        // variant, both page heads, every batch size and every k, the
+        // tape-free f32 forward reproduces the training graph's forward
+        // (dropout off in the test config) bit for bit. The 21-page
+        // hierarchical vocabulary leaves padding in the last cluster.
+        let dense = [
             VoyagerConfig::test(),
             VoyagerConfig::test().without_attention(),
             VoyagerConfig::test().with_features(FeatureSet {
@@ -867,15 +891,27 @@ mod tests {
                 address: true,
             }),
         ];
-        for (vi, cfg) in variants.iter().enumerate() {
-            let mut m = VoyagerModel::new(cfg, 16, 32, 64);
+        let hier_cfg = VoyagerConfig::test().with_output_head(OutputHead::Hier);
+        let hier = [hier_cfg, hier_cfg.without_attention()];
+        let models = dense
+            .iter()
+            .map(|cfg| (cfg, 32))
+            .chain(hier.iter().map(|cfg| (cfg, 21)));
+        for (vi, (cfg, page_vocab)) in models.enumerate() {
+            assert_eq!(cfg.dropout_keep, 1.0);
+            let mut m = VoyagerModel::new(cfg, 16, page_vocab, 64);
             train_some(&mut m, 6, 5);
             for bsize in [1, 3, 8] {
                 let bat = batch(bsize, cfg.seq_len);
+                let (ref_page, ref_off) = m.forward_reference(&bat);
                 for k in [1, 4] {
-                    let tape = m.predict(&bat, k);
-                    let fast = m.predict_fast(&bat, k);
-                    assert_eq!(tape, fast, "variant {vi}, batch {bsize}, k {k}");
+                    let preds = m.predict_fast(&bat, k);
+                    assert_eq!(preds.len(), bsize);
+                    let (page, off) = fast_outputs(&m);
+                    let at = format!("variant {vi}, batch {bsize}, k {k}");
+                    assert_eq!(page.shape(), ref_page.shape(), "{at}");
+                    assert_eq!(bits(&page), bits(&ref_page), "page, {at}");
+                    assert_eq!(bits(&off), bits(&ref_off), "offset, {at}");
                 }
             }
         }

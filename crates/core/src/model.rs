@@ -81,8 +81,9 @@ pub fn hier_shape(vocab: usize) -> (usize, usize) {
 /// The hierarchical neural prefetching model.
 ///
 /// Owns its parameters and optimizer; [`VoyagerModel::train_multi`] /
-/// [`VoyagerModel::train_single`] run one gradient step and
-/// [`VoyagerModel::predict`] produces degree-k candidate
+/// [`VoyagerModel::train_single`] run one gradient step on the autograd
+/// tape, and the tape-free [`VoyagerModel::predict_fast`] /
+/// [`VoyagerModel::predict_int8`] produce degree-k candidate
 /// (page, offset) token pairs.
 #[derive(Debug)]
 pub struct VoyagerModel {
@@ -387,7 +388,7 @@ impl VoyagerModel {
         page_targets: PageMulti<'_>,
         offset_targets: &Tensor2,
     ) -> Var {
-        let (ph, oh) = self.forward_trunk(sess, batch, true);
+        let (ph, oh) = self.forward_trunk(sess, batch);
         let lp = match (&self.page_head, page_targets) {
             (PageHead::Dense(lin), PageMulti::Dense(t)) => {
                 let pl = lin.forward(sess, &self.store, ph);
@@ -429,7 +430,7 @@ impl VoyagerModel {
         page_targets: &[usize],
         offset_targets: &[usize],
     ) -> Var {
-        let (ph, oh) = self.forward_trunk(sess, batch, true);
+        let (ph, oh) = self.forward_trunk(sess, batch);
         let lp = match &self.page_head {
             PageHead::Dense(lin) => {
                 let pl = lin.forward(sess, &self.store, ph);
@@ -444,8 +445,9 @@ impl VoyagerModel {
 
     /// Shared trunk (embeddings → attention → both LSTMs): returns the
     /// final `(page_h, offset_h)` hidden states. The caller applies the
-    /// heads, which depend on the configured page output head.
-    fn forward_trunk(&mut self, sess: &mut Session, batch: &SeqBatch, train: bool) -> (Var, Var) {
+    /// heads, which depend on the configured page output head. Dropout
+    /// applies whenever `dropout_keep < 1`: the tape runs training only.
+    fn forward_trunk(&mut self, sess: &mut Session, batch: &SeqBatch) -> (Var, Var) {
         batch.validate();
         let b = batch.len();
         let mut page_state = self.page_lstm.zero_state(sess, b);
@@ -472,7 +474,7 @@ impl VoyagerModel {
                 parts.push(of_ctx);
             }
             let mut x = sess.tape.concat_cols(&parts);
-            if train && self.cfg.dropout_keep < 1.0 {
+            if self.cfg.dropout_keep < 1.0 {
                 x = sess.tape.dropout(x, self.cfg.dropout_keep, &mut self.rng);
             }
             page_state = self.page_lstm.forward(sess, &self.store, (x, page_state));
@@ -559,68 +561,25 @@ impl VoyagerModel {
         value
     }
 
-    /// Degree-`k` inference: returns, per sequence, up to `k`
-    /// `(page_token, offset_token, score)` candidates ranked by the
-    /// product of page and offset probabilities (the paper's top-k
-    /// extension of its argmax inference).
-    pub fn predict(&mut self, batch: &SeqBatch, k: usize) -> Vec<Vec<(u32, u32, f32)>> {
+    /// Reference forward pass for tests: runs the training graph
+    /// (trunk, heads, row softmax) on a fresh tape and returns
+    /// `(page, offset_probs)`. `page` holds the softmaxed dense page
+    /// probabilities or, with the hierarchical head, the final page
+    /// hidden state its candidate scoring starts from.
+    #[cfg(test)]
+    pub(crate) fn forward_reference(&mut self, batch: &SeqBatch) -> (Tensor2, Tensor2) {
         let mut sess = Session::new();
-        let (ph, oh) = self.forward_trunk(&mut sess, batch, false);
+        let (ph, oh) = self.forward_trunk(&mut sess, batch);
         let ol = self.offset_head.forward(&mut sess, &self.store, oh);
         let op = sess.tape.softmax_rows(ol);
-        match &self.page_head {
+        let page = match &self.page_head {
             PageHead::Dense(lin) => {
                 let pl = lin.forward(&mut sess, &self.store, ph);
-                let pp = sess.tape.softmax_rows(pl);
-                let page_probs = sess.tape.value(pp);
-                let offset_probs = sess.tape.value(op);
-                // Candidate selection and ranking are shared with the
-                // tape-free fast path (crate::fastpath), so the two
-                // cannot drift.
-                let mut scratch = crate::fastpath::RankScratch::default();
-                let mut out = Vec::with_capacity(batch.len());
-                for row in 0..batch.len() {
-                    out.push(crate::fastpath::rank_row(
-                        page_probs,
-                        offset_probs,
-                        row,
-                        k,
-                        self.page_vocab,
-                        self.offset_vocab,
-                        &mut scratch,
-                    ));
-                }
-                out
+                sess.tape.softmax_rows(pl)
             }
-            PageHead::Hier(hs) => {
-                // The hierarchical scoring (cluster GEMM → shortlist →
-                // branch GEMMs) is ONE routine shared with predict_fast
-                // — identity between the two paths holds by
-                // construction.
-                let h = sess.tape.value(ph);
-                let offset_probs = sess.tape.value(op);
-                crate::fastpath::hier_candidates(
-                    &self.store,
-                    hs,
-                    h,
-                    self.cfg.hier_fan,
-                    &mut self.infer.hier,
-                );
-                let st = &mut self.infer;
-                let mut out = Vec::with_capacity(batch.len());
-                for row in 0..batch.len() {
-                    out.push(crate::fastpath::rank_row_sparse(
-                        &st.hier,
-                        row,
-                        offset_probs,
-                        k,
-                        self.offset_vocab,
-                        &mut st.rank,
-                    ));
-                }
-                out
-            }
-        }
+            PageHead::Hier(_) => ph,
+        };
+        (sess.tape.value(page).clone(), sess.tape.value(op).clone())
     }
 }
 
@@ -676,7 +635,7 @@ mod tests {
     fn predict_shapes_and_scores() {
         let cfg = VoyagerConfig::test();
         let mut m = VoyagerModel::new(&cfg, 16, 32, 64);
-        let preds = m.predict(&batch(3, cfg.seq_len), 4);
+        let preds = m.predict_fast(&batch(3, cfg.seq_len), 4);
         assert_eq!(preds.len(), 3);
         for row in &preds {
             assert_eq!(row.len(), 4);
@@ -726,7 +685,7 @@ mod tests {
         for _ in 0..80 {
             m.train_single(&b, &[6, 7], &[30, 40]);
         }
-        let preds = m.predict(&b, 1);
+        let preds = m.predict_fast(&b, 1);
         assert_eq!(preds[0][0].0, 6);
         assert_eq!(preds[0][0].1, 30);
         assert_eq!(preds[1][0].0, 7);
@@ -777,7 +736,7 @@ mod tests {
             a.train_multi(&b4, &pt, &ot);
         }
         b.import_param_values(&a.export_param_values());
-        assert_eq!(a.predict(&b4, 2), b.predict(&b4, 2));
+        assert_eq!(a.predict_fast(&b4, 2), b.predict_fast(&b4, 2));
     }
 
     #[test]
@@ -813,7 +772,7 @@ mod tests {
             address: true,
         });
         let mut m = VoyagerModel::new(&cfg, 16, 32, 64);
-        let preds = m.predict(&batch(2, cfg.seq_len), 1);
+        let preds = m.predict_fast(&batch(2, cfg.seq_len), 1);
         assert_eq!(preds.len(), 2);
     }
 
@@ -849,7 +808,7 @@ mod tests {
         cfg2.seed = 999; // different init, same layout
         let mut b = VoyagerModel::new(&cfg2, 16, 32, 64);
         b.load(buf.as_slice()).unwrap();
-        assert_eq!(a.predict(&b4, 2), b.predict(&b4, 2));
+        assert_eq!(a.predict_fast(&b4, 2), b.predict_fast(&b4, 2));
     }
 
     #[test]
@@ -872,6 +831,6 @@ mod tests {
             page: vec![vec![0; 3]],
             offset: vec![vec![0; 4]],
         };
-        let _ = m.predict(&bad, 1);
+        let _ = m.predict_fast(&bad, 1);
     }
 }

@@ -232,7 +232,7 @@ fn predict_epoch(
     let indices: Vec<usize> = range.filter(|&t| t + 1 >= cfg.seq_len).collect();
     for chunk in indices.chunks(cfg.batch_size) {
         let batch = make_batch(tokens, chunk, cfg.seq_len);
-        let preds = model.predict(&batch, cfg.degree);
+        let preds = model.predict_fast(&batch, cfg.degree);
         for (&t, pairs) in chunk.iter().zip(preds) {
             let mut lines: Vec<u64> = Vec::with_capacity(pairs.len());
             for (p, o, _) in pairs {

@@ -119,7 +119,15 @@ pub fn load_params<R: Read>(mut reader: R, store: &mut ParamStore) -> Result<(),
     }
     let ids: Vec<_> = store.iter().map(|(id, _, _)| id).collect();
     for id in ids {
+        // Check the length before allocating: it comes from the file.
         let name_len = read_u32(&mut reader)? as usize;
+        if name_len != store.name(id).len() {
+            return Err(LoadParamsError::LayoutMismatch(format!(
+                "expected tensor {:?} ({} name bytes), found a {name_len}-byte name",
+                store.name(id),
+                store.name(id).len()
+            )));
+        }
         let mut name = vec![0u8; name_len];
         reader.read_exact(&mut name)?;
         let name = String::from_utf8_lossy(&name).into_owned();
@@ -221,6 +229,12 @@ pub fn load_training_state<R: Read>(
     let lr = f32::from_le_bytes(read_array(&mut reader)?);
     let steps = u64::from_le_bytes(read_array(&mut reader)?);
     let count = read_u32(&mut reader)? as usize;
+    if count > store.len() {
+        return Err(LoadParamsError::LayoutMismatch(format!(
+            "checkpoint has {count} moments, store has {} parameters",
+            store.len()
+        )));
+    }
     let mut moments = Vec::with_capacity(count);
     for _ in 0..count {
         let idx = read_u32(&mut reader)? as usize;
@@ -366,6 +380,33 @@ mod tests {
             load_training_state(buf.as_slice(), &mut other, &mut adam).unwrap_err(),
             LoadParamsError::BadMagic
         ));
+    }
+
+    #[test]
+    fn huge_name_length_is_rejected_before_allocating() {
+        let (_, mut b) = store_pair();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = load_params(buf.as_slice(), &mut b).unwrap_err();
+        assert!(matches!(err, LoadParamsError::LayoutMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn huge_moment_count_is_rejected_before_allocating() {
+        let (store, mut other) = store_pair();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(TRAIN_MAGIC);
+        buf.extend_from_slice(&TRAIN_VERSION.to_le_bytes());
+        save_params(&mut buf, &store).unwrap();
+        buf.extend_from_slice(&0.05f32.to_le_bytes());
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut adam = Adam::new(0.05);
+        let err = load_training_state(buf.as_slice(), &mut other, &mut adam).unwrap_err();
+        assert!(matches!(err, LoadParamsError::LayoutMismatch(_)), "{err}");
     }
 
     #[test]

@@ -45,15 +45,12 @@ pub struct InferenceRequest {
 /// batch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictMode {
-    /// The tape-based [`VoyagerModel::predict`] (autograd graph built
-    /// and discarded per call). Reference semantics; slowest.
+    /// f32 fast path ([`VoyagerModel::predict_fast`]): exact model
+    /// probabilities, arena-backed zero-allocation steady state. The
+    /// default.
     #[default]
-    Tape,
-    /// Tape-free f32 fast path ([`VoyagerModel::predict_fast`]):
-    /// bitwise-identical results, arena-backed zero-allocation steady
-    /// state.
     FastF32,
-    /// Tape-free int8 fast path ([`VoyagerModel::predict_int8`]):
+    /// int8 fast path ([`VoyagerModel::predict_int8`]):
     /// quantized LSTM/head GEMMs, approximate probabilities.
     FastInt8,
     /// Distilled-table lookup
@@ -101,7 +98,9 @@ impl std::error::Error for ServiceConfigError {}
 ///
 /// Replaces the former `new` / `with_mode` / `with_tables` constructor
 /// sprawl. Defaults: degree as given (clamped to ≥ 1), mode
-/// [`PredictMode::Tape`], no tables, eager int8 preparation on.
+/// [`PredictMode::FastF32`], no tables. The int8 modes
+/// ([`PredictMode::FastInt8`] and the [`PredictMode::Table`] fallback)
+/// quantize the weights at build time, so no request pays for it.
 ///
 /// ```no_run
 /// use voyager_runtime::serve::{PredictMode, ServiceConfig};
@@ -118,19 +117,17 @@ pub struct ServiceConfig {
     degree: usize,
     mode: PredictMode,
     tables: Option<DistilledTables>,
-    eager_int8: bool,
 }
 
 impl ServiceConfig {
     /// Starts a configuration serving `degree` candidates per request
     /// (clamped to at least 1) through the default
-    /// [`PredictMode::Tape`] path.
+    /// [`PredictMode::FastF32`] path.
     pub fn new(degree: usize) -> Self {
         ServiceConfig {
             degree: degree.max(1),
             mode: PredictMode::default(),
             tables: None,
-            eager_int8: true,
         }
     }
 
@@ -143,16 +140,6 @@ impl ServiceConfig {
     /// Attaches distilled tables for [`PredictMode::Table`] serving.
     pub fn tables(mut self, tables: DistilledTables) -> Self {
         self.tables = Some(tables);
-        self
-    }
-
-    /// Whether to quantize the model's weights eagerly at build time
-    /// (default `true`) for the modes whose forward path is int8
-    /// ([`PredictMode::FastInt8`] and the [`PredictMode::Table`]
-    /// fallback). Disabling defers the one-time quantization cost to
-    /// the first batch that needs it.
-    pub fn eager_int8(mut self, eager: bool) -> Self {
-        self.eager_int8 = eager;
         self
     }
 
@@ -171,7 +158,7 @@ impl ServiceConfig {
             (mode, Some(_)) => return Err(ServiceConfigError::TablesIgnored(mode)),
             (_, None) => {}
         }
-        if self.eager_int8 && matches!(self.mode, PredictMode::FastInt8 | PredictMode::Table) {
+        if matches!(self.mode, PredictMode::FastInt8 | PredictMode::Table) {
             model.prepare_int8();
         }
         Ok(VoyagerService {
@@ -295,7 +282,6 @@ impl BatchModel for VoyagerService {
             self.batch.offset[i].extend_from_slice(&r.offset);
         }
         match self.mode {
-            PredictMode::Tape => self.model.predict(&self.batch, self.degree),
             PredictMode::FastF32 => self.model.predict_fast(&self.batch, self.degree),
             PredictMode::FastInt8 => self.model.predict_int8(&self.batch, self.degree),
             PredictMode::Table => self.forward_table(),

@@ -1,4 +1,4 @@
-//! Steady-state serving behaviour of the tape-free fast path.
+//! Steady-state serving behaviour of the fast path.
 //!
 //! The fast path's claim is not just "faster" but "allocation-free once
 //! warm": the per-model arena grows on the first call (and again only
@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use voyager::{VoyagerConfig, VoyagerModel};
+use voyager::{SeqBatch, VoyagerConfig, VoyagerModel};
 use voyager_runtime::{
     InferenceRequest, MicrobatchConfig, MicrobatchServer, PredictMode, ServiceConfig,
 };
@@ -31,17 +31,24 @@ fn request(t: usize, seq_len: usize, page_vocab: usize) -> InferenceRequest {
     }
 }
 
-/// Serves `n` requests through a fresh single-request-per-batch server
-/// in `mode` and returns (responses, grow-event delta after warmup).
-fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
+/// The served model: fixed seed, so two calls build identical weights.
+fn model() -> (VoyagerModel, usize, usize) {
     let cfg = VoyagerConfig::test();
     let page_vocab = 256;
-    let model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
-    let service = ServiceConfig::new(2)
-        .mode(mode)
-        .build(model)
-        .expect("modes without tables");
-    assert_eq!(service.mode(), mode);
+    (
+        VoyagerModel::new(&cfg, 64, page_vocab, 64),
+        cfg.seq_len,
+        page_vocab,
+    )
+}
+
+/// Serves `n` requests through a fresh single-request-per-batch server
+/// built from `config` and returns (mode served, responses, grow-event
+/// delta after warmup).
+fn serve_steady(config: ServiceConfig, n: usize) -> (PredictMode, Vec<Candidates>, u64) {
+    let (model, seq_len, page_vocab) = model();
+    let service = config.build(model).expect("modes without tables");
+    let mode = service.mode();
     // max_batch = 1 flushes every request immediately, so each forward
     // pass sees exactly one request and the arena warms up on the very
     // first infer below.
@@ -51,14 +58,14 @@ fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
     };
     let (server, client) = MicrobatchServer::spawn(service, mb);
     let warmup = client
-        .infer(request(0, cfg.seq_len, page_vocab))
+        .infer(request(0, seq_len, page_vocab))
         .expect("warmup response");
     let grown_before = infer::arena_grow_events();
     let mut responses = vec![warmup];
     for t in 1..n {
         responses.push(
             client
-                .infer(request(t, cfg.seq_len, page_vocab))
+                .infer(request(t, seq_len, page_vocab))
                 .expect("response"),
         );
     }
@@ -67,20 +74,26 @@ fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
     let stats = server.join();
     assert_eq!(stats.requests, n);
     assert_eq!(stats.batches, n, "max_batch=1 must flush per request");
-    (responses, grown_after - grown_before)
+    (mode, responses, grown_after - grown_before)
+}
+
+/// Candidates with scores as raw bits, so equality is bitwise.
+fn bits(responses: &[Candidates]) -> Vec<Vec<(u32, u32, u32)>> {
+    responses
+        .iter()
+        .map(|r| r.iter().map(|&(p, o, s)| (p, o, s.to_bits())).collect())
+        .collect()
 }
 
 #[test]
-fn fast_serving_is_allocation_free_after_warmup_and_matches_tape() {
+fn fast_serving_is_allocation_free_after_warmup_and_matches_direct_calls() {
     let n = 51;
 
-    // Tape mode is the reference; it never touches the arena.
-    let (tape, _) = serve_steady(PredictMode::Tape, n);
-
-    // f32 fast path: zero arena growth after the first (warmup) call,
-    // and bitwise-identical responses to the tape path.
+    // The default mode is the f32 fast path: zero arena growth after
+    // the first (warmup) call, every batch through the fast path.
     let fast_calls_before = infer::fast_path_calls();
-    let (fast, fast_growth) = serve_steady(PredictMode::FastF32, n);
+    let (mode, fast, fast_growth) = serve_steady(ServiceConfig::new(2), n);
+    assert_eq!(mode, PredictMode::FastF32, "default serving mode");
     assert_eq!(
         fast_growth, 0,
         "arena must not grow after the warmup request"
@@ -90,12 +103,13 @@ fn fast_serving_is_allocation_free_after_warmup_and_matches_tape() {
         n as u64,
         "every fast-mode batch goes through the fast path"
     );
-    assert_eq!(fast, tape, "fast-f32 serving must match tape serving");
 
     // int8 fast path: also steady-state allocation-free, and its top-1
     // page/offset picks agree with f32 on an (untrained but
     // deterministic) model for these windows.
-    let (int8, int8_growth) = serve_steady(PredictMode::FastInt8, n);
+    let (mode, int8, int8_growth) =
+        serve_steady(ServiceConfig::new(2).mode(PredictMode::FastInt8), n);
+    assert_eq!(mode, PredictMode::FastInt8);
     assert_eq!(
         int8_growth, 0,
         "int8 arena must not grow after the warmup request"
@@ -104,4 +118,21 @@ fn fast_serving_is_allocation_free_after_warmup_and_matches_tape() {
     for (f, q) in fast.iter().zip(&int8) {
         assert_eq!(f.len(), q.len(), "same prefetch degree per response");
     }
+
+    // Served f32 responses are bit-equal to direct predict_fast calls
+    // on a model built from the same seed (run last: direct calls grow
+    // their own arena).
+    let (mut direct, seq_len, page_vocab) = model();
+    let expected: Vec<Candidates> = (0..n)
+        .map(|t| {
+            let r = request(t, seq_len, page_vocab);
+            let batch = SeqBatch {
+                pc: vec![r.pc],
+                page: vec![r.page],
+                offset: vec![r.offset],
+            };
+            direct.predict_fast(&batch, 2).remove(0)
+        })
+        .collect();
+    assert_eq!(bits(&fast), bits(&expected), "served f32 != predict_fast");
 }

@@ -1,9 +1,9 @@
 //! Bounded-heap top-k selection.
 //!
-//! Both inference paths — the tape-based [`predict`] and the tape-free
-//! fast path — rank candidates by picking the `k` largest entries of a
-//! probability row. Sorting the full page-vocabulary row is `O(n log
-//! n)` and allocates an index vector as large as the vocabulary; this
+//! The inference engine (`voyager::fastpath`) ranks candidates by
+//! picking the `k` largest entries of a probability row. Sorting the
+//! full page-vocabulary row is `O(n log n)` and allocates an index
+//! vector as large as the vocabulary; this
 //! module keeps a bounded min-heap of the `k` best candidates instead
 //! (`O(n log k)`, reusable scratch, no allocation in steady state).
 //!
@@ -11,8 +11,6 @@
 //! stable descending sort over values — so swapping the heap in is
 //! behaviour-preserving: values descend, and equal values keep
 //! ascending index order.
-//!
-//! [`predict`]: ../../voyager/struct.VoyagerModel.html#method.predict
 
 use std::cmp::Ordering;
 

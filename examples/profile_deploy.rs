@@ -91,7 +91,7 @@ fn main() {
                 .offset
                 .push(w.iter().map(|a| a.offset as usize).collect());
         }
-        let preds = deployed.predict(&batch, 1);
+        let preds = deployed.predict_fast(&batch, 1);
         for (row, &i) in chunk.iter().enumerate() {
             if let Some(&(p, o, _)) = preds[row].first() {
                 if let Some(line) = vocab.resolve_prediction(&deploy[i], p, o) {

@@ -25,10 +25,13 @@ echo "    wrote target/analyze.json"
 
 run cargo build --release
 run cargo test -q
+# The core crate: the fast path's bitwise match with the training
+# graph, the hierarchical head and the online protocol.
+run cargo test -q -p voyager
 
 # The numeric suite again with the SIMD tiers compiled out: the scalar
 # fallback must stand on its own (CI runs the same job).
-run cargo test -q -p voyager-tensor -p voyager-nn -p voyager-runtime \
+run cargo test -q -p voyager-tensor -p voyager-nn -p voyager-runtime -p voyager \
     --features voyager-tensor/force-scalar
 run cargo run --release -p voyager-bench --bin pr3_kernels -- --smoke
 run cargo run --release -p voyager-bench --bin pr5_infer -- --smoke
