@@ -75,8 +75,7 @@ const HOT_ROOTS: &[&str] = &[
     "route",
     "gemm",
     "gemm_acc",
-    "gemm_i8",
-    "gemm_i8_dequant",
+    "gemm_i8_packed",
     "hier_candidates",
     "hier_candidates_int8",
 ];

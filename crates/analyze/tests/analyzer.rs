@@ -178,12 +178,13 @@ fn real_workspace_unsafe_inventory_is_pinned_and_documented() {
     // The whole inventory is the two bench-bin counting allocators
     // (10 sites) plus the tensor SIMD module: dispatch into
     // `#[target_feature]` kernels in simd/mod.rs, raw vector
-    // loads/stores in simd/x86.rs and simd/neon.rs. A new `unsafe`
+    // loads/stores in simd/x86.rs (f32 tiles, packed int8 VNNI and
+    // AVX2 tiers) and simd/neon.rs (f32 tiles only). A new `unsafe`
     // site must be audited (SAFETY comment) and this pin updated
     // deliberately.
     assert_eq!(
         report.unsafe_sites.len(),
-        31,
+        32,
         "unsafe inventory changed: {:#?}",
         report.unsafe_sites
     );

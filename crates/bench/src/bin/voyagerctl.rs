@@ -755,6 +755,11 @@ fn cmd_metrics(args: &[String]) -> CliResult {
     registry
         .gauge("tensor.gemm.dispatch")
         .set(voyager_tensor::kernels::active_isa().ordinal());
+    // Which int8 kernel tier served the int8 GEMMs (0 = scalar,
+    // 1 = avx2, 2 = avx512-vnni — Int8Isa::ordinal).
+    registry
+        .gauge("tensor.gemm.int8_dispatch")
+        .set(voyager_tensor::kernels::active_int8_isa().ordinal());
 
     // Inference fast-path telemetry (process-global, always on).
     registry

@@ -69,6 +69,39 @@ pub fn sparsity(store: &ParamStore) -> f32 {
     zeros as f32 / total as f32
 }
 
+/// Scale and zero point of the per-tensor affine int8 scheme for
+/// `values` (see [`QuantizedTensor::quantize`]): the range of the
+/// finite values, widened to include `0.0`, mapped onto the 256 codes.
+pub(crate) fn affine_params(values: &[f32]) -> (f32, i32) {
+    let (mut min, mut max) = (0.0f64, 0.0f64);
+    for &v in values {
+        if v.is_finite() {
+            min = min.min(v as f64);
+            max = max.max(v as f64);
+        }
+    }
+    let range = max - min;
+    let scale = if range > 0.0 {
+        (range / 255.0) as f32
+    } else {
+        // All-zero (or empty) tensor: any positive scale round-trips
+        // the all-zero codes exactly.
+        1.0 / 255.0
+    };
+    let zero_point = (-128.0 - min / scale as f64).round().clamp(-128.0, 127.0) as i32;
+    (scale, zero_point)
+}
+
+/// The int8 code of `v` under [`affine_params`]' `(scale, zero_point)`.
+/// The one definition every quantizer uses, so the row-major
+/// [`QuantizedTensor`] and the packed int8 inference weights
+/// (`QuantizedMatmul`) hold identical codes.
+#[inline(always)]
+pub(crate) fn affine_code(v: f32, scale: f32, zero_point: i32) -> i8 {
+    let q = (v as f64 / scale as f64).round() as i64 + zero_point as i64;
+    q.clamp(-128, 127) as i8
+}
+
 /// A tensor quantized to 8-bit integers with a per-tensor affine scheme:
 /// `value ≈ scale * (q - zero_point)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,29 +127,11 @@ impl QuantizedTensor {
     /// positive.
     pub fn quantize(t: &Tensor2) -> Self {
         let (rows, cols) = t.shape();
-        let (mut min, mut max) = (0.0f64, 0.0f64);
-        for &v in t.as_slice() {
-            if v.is_finite() {
-                min = min.min(v as f64);
-                max = max.max(v as f64);
-            }
-        }
-        let range = max - min;
-        let scale = if range > 0.0 {
-            (range / 255.0) as f32
-        } else {
-            // All-zero (or empty) tensor: any positive scale round-trips
-            // the all-zero codes exactly.
-            1.0 / 255.0
-        };
-        let zero_point = (-128.0 - min / scale as f64).round().clamp(-128.0, 127.0) as i32;
+        let (scale, zero_point) = affine_params(t.as_slice());
         let data = t
             .as_slice()
             .iter()
-            .map(|&v| {
-                let q = (v as f64 / scale as f64).round() as i64 + zero_point as i64;
-                q.clamp(-128, 127) as i8
-            })
+            .map(|&v| affine_code(v, scale, zero_point))
             .collect();
         QuantizedTensor {
             rows,

@@ -2,12 +2,14 @@
 //!
 //! [`compress`](crate::compress) *simulates* int8 deployment
 //! (quantize → dequantize → f32 GEMM); this module *computes* in int8.
-//! Weights are quantized once up front with the existing per-tensor
-//! affine [`QuantizedTensor`] scheme and kept as `i8` codes;
-//! activations are quantized per row on the fly
+//! Weights are quantized once up front with the per-tensor affine
+//! scheme of [`QuantizedTensor`](crate::compress::QuantizedTensor)
+//! (identical codes, scale and zero point) and written straight into
+//! the weight-stationary [`PackedI8`] panel layout the int8 kernels
+//! read — quantization and packing are one pass, and no row-major copy
+//! of the codes is kept. Activations are quantized per row on the fly
 //! ([`voyager_tensor::infer::quantize_rows_into`], symmetric, no zero
-//! point); the matmul itself is the
-//! [`gemm_i8`](voyager_tensor::kernels::gemm_i8) `i8×i8→i32` kernel.
+//! point).
 //!
 //! Dequantization folds the weight zero point out of the integer
 //! accumulator using the cached per-row activation sums: with
@@ -20,33 +22,36 @@
 //!
 //! and the whole thing — integer GEMM plus scale-and-correct
 //! epilogue — is one call into
-//! [`gemm_i8_dequant`](voyager_tensor::kernels::gemm_i8_dequant). On
-//! SIMD tiers the i32 accumulators never leave registers, so the
-//! `m × n` i32 scratch buffer the old unfused sequence carried is
-//! gone entirely. Output buffers are caller-provided and reused
-//! across calls; the steady state performs no heap allocation.
+//! [`gemm_i8_packed`](voyager_tensor::kernels::gemm_i8_packed), with
+//! the i32 accumulators held in registers. Output buffers are
+//! caller-provided and reused across calls; the steady state performs
+//! no heap allocation.
 
 use voyager_tensor::infer::{add_row_inplace, QuantizedRows};
-use voyager_tensor::kernels::gemm_i8_dequant;
+use voyager_tensor::kernels::{gemm_i8_packed, PackedI8};
 use voyager_tensor::Tensor2;
 
-use crate::compress::QuantizedTensor;
+use crate::compress::{affine_code, affine_params};
 
-/// An int8 weight matrix prepared for [`gemm_i8_dequant`] matmuls.
-///
-/// Keeps the codes in the `[in, out]` row-major orientation
-/// [`QuantizedTensor`] produces, which is exactly the NN layout the
-/// kernel consumes — no transpose at quantization or inference time.
+/// An int8 weight matrix prepared for [`gemm_i8_packed`] matmuls: the
+/// `[in, out]` weights' affine codes in the packed panel layout, plus
+/// their scale and zero point.
 #[derive(Debug, Clone)]
 pub struct QuantizedMatmul {
-    w: QuantizedTensor,
+    w: PackedI8,
+    scale: f32,
+    zero_point: i32,
 }
 
 impl QuantizedMatmul {
-    /// Quantizes an `[in, out]` f32 weight matrix.
+    /// Quantizes an `[in, out]` f32 weight matrix into packed panels.
     pub fn from_tensor(w: &Tensor2) -> Self {
+        let (k, n) = w.shape();
+        let (scale, zero_point) = affine_params(w.as_slice());
         QuantizedMatmul {
-            w: QuantizedTensor::quantize(w),
+            w: PackedI8::pack(k, n, w.as_slice(), |v| affine_code(v, scale, zero_point)),
+            scale,
+            zero_point,
         }
     }
 
@@ -55,9 +60,10 @@ impl QuantizedMatmul {
         self.w.shape()
     }
 
-    /// Int8 storage size in bytes.
+    /// Int8 storage size in bytes: the padded panels, the column sums,
+    /// and the scale and zero point.
     pub fn size_bytes(&self) -> usize {
-        self.w.size_bytes()
+        self.w.size_bytes() + 8
     }
 
     /// Computes `out = x · w` (or `out += x · w` when `accumulate`)
@@ -74,23 +80,21 @@ impl QuantizedMatmul {
         let (wk, n) = self.w.shape();
         assert_eq!(k, wk, "quantized matmul reduction mismatch: {k} vs {wk}");
         assert_eq!(out.shape(), (m, n), "quantized matmul output shape");
-        gemm_i8_dequant(
+        gemm_i8_packed(
             &x.data,
-            self.w.data(),
+            &self.w,
             m,
-            n,
-            k,
             &x.scales,
             &x.sums,
-            self.w.scale(),
-            self.w.zero_point(),
+            self.scale,
+            self.zero_point,
             out.as_mut_slice(),
             accumulate,
         );
     }
 
     /// Computes one output row `out = x[row] · w` from pre-quantized
-    /// activation rows — the `m = 1` GEMM the hierarchical head uses to
+    /// activation rows — the `m = 1` GEMV the hierarchical head uses to
     /// score a single shortlisted cluster's branch block.
     ///
     /// # Panics
@@ -103,16 +107,14 @@ impl QuantizedMatmul {
         assert!(row < m, "row {row} out of {m}");
         assert_eq!(k, wk, "quantized matmul reduction mismatch: {k} vs {wk}");
         assert_eq!(out.len(), n, "quantized matmul output width");
-        gemm_i8_dequant(
+        gemm_i8_packed(
             x.row(row),
-            self.w.data(),
+            &self.w,
             1,
-            n,
-            k,
             &x.scales[row..row + 1],
             &x.sums[row..row + 1],
-            self.w.scale(),
-            self.w.zero_point(),
+            self.scale,
+            self.zero_point,
             out,
             false,
         );
@@ -214,11 +216,11 @@ impl QuantizedLstm {
 /// linear layer plus per-cluster branch blocks.
 ///
 /// Each cluster's `[branch, hidden]` slice of the leaf table is stored
-/// *transposed* (`[hidden, branch]`, quantized independently) so
-/// scoring a shortlisted cluster for one activation row is a single
-/// `m = 1` NN-layout [`gemm_i8_dequant`] call — no transposition at
-/// inference time, and per-cluster quantization scales keep the
-/// dequantization error local to each block.
+/// *transposed* (`[hidden, branch]`, quantized independently into its
+/// own packed panels) so scoring a shortlisted cluster for one
+/// activation row is a single `m = 1` [`gemm_i8_packed`] GEMV — no
+/// transposition at inference time, and per-cluster quantization
+/// scales keep the dequantization error local to each block.
 #[derive(Debug, Clone)]
 pub struct QuantizedHierHead {
     cluster: QuantizedLinear,
@@ -342,6 +344,38 @@ mod tests {
                 (g - w).abs() <= tol * scale,
                 "{g} vs {w} (tol {tol} x {scale})"
             );
+        }
+    }
+
+    #[test]
+    fn packed_weights_hold_the_quantized_tensor_codes() {
+        // The fused quantize-and-pack pass must produce exactly the
+        // codes, scale and zero point of `QuantizedTensor::quantize`,
+        // including the degenerate inputs that function hardens.
+        use crate::compress::QuantizedTensor;
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut spiky = Tensor2::uniform(9, 37, 3.0, &mut rng);
+        spiky.set(0, 0, f32::MAX);
+        spiky.set(8, 36, -f32::MAX);
+        spiky.set(4, 4, 0.0);
+        let cases = [
+            Tensor2::uniform(33, 70, 0.8, &mut rng),
+            Tensor2::uniform(5, 3, 1e-3, &mut rng),
+            Tensor2::zeros(6, 17),
+            Tensor2::full(4, 16, 0.25),
+            spiky,
+        ];
+        for (ci, w) in cases.iter().enumerate() {
+            let (k, n) = w.shape();
+            let qt = QuantizedTensor::quantize(w);
+            let qm = QuantizedMatmul::from_tensor(w);
+            assert_eq!(qm.scale.to_bits(), qt.scale().to_bits(), "case {ci}");
+            assert_eq!(qm.zero_point, qt.zero_point(), "case {ci}");
+            for p in 0..k {
+                for j in 0..n {
+                    assert_eq!(qm.w.get(p, j), qt.data()[p * n + j], "case {ci} ({p}, {j})");
+                }
+            }
         }
     }
 

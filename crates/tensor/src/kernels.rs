@@ -42,13 +42,28 @@
 //! is picked at runtime, so the fallback does not pay a libm `fmaf`
 //! call per element on FMA hardware (the bits are identical either
 //! way).
+//!
+//! # Int8
+//!
+//! Quantized inference multiplies int8 activations by int8 weights
+//! through [`gemm_i8_packed`], with the dequantization epilogue fused
+//! in. The weights are not row-major: [`PackedI8`] stores them once,
+//! at quantization time, as 16-column panels of 4-deep column groups,
+//! the layout one AVX-512 VNNI `vpdpbusd` consumes. The kernel
+//! dispatches on its own tier ([`Int8Isa`]: VNNI, AVX2 `vpmaddwd`, or
+//! scalar) and is exact: every tier computes the same wrapping i32
+//! sums and the same epilogue, so the output bits never depend on the
+//! tier.
 
 use std::ops::Range;
 
 use crate::simd;
 use crate::Tensor2;
 
-pub use crate::simd::{active_isa, detected_isa, force_scalar, set_force_scalar, Isa};
+pub use crate::simd::{
+    active_int8_isa, active_isa, detected_int8_isa, detected_isa, force_scalar, set_force_scalar,
+    Int8Isa, Isa,
+};
 
 /// Rows per scalar register tile.
 pub const MR: usize = 4;
@@ -61,9 +76,8 @@ pub const NC: usize = 256;
 /// accumulator could overflow: the worst-case `i8 × i8` product is
 /// `(−128) · (−128) = 16 384`, so at most
 /// `⌊(2³¹ − 1) / 16 384⌋ = 131 071` terms are always representable.
-/// Enforced with `debug_assert!` at the [`gemm_i8`] /
-/// [`gemm_i8_dequant`] entry points; layers here sit orders of
-/// magnitude below it.
+/// Enforced with `debug_assert!` at the [`gemm_i8_packed`] entry
+/// point; layers here sit orders of magnitude below it.
 pub const MAX_GEMM_I8_K: usize = (i32::MAX as usize) / (128 * 128);
 
 /// Transpose layout of a GEMM: which operand, if any, is consumed
@@ -628,9 +642,8 @@ fn note_gemm_i8(m: usize, n: usize, k: usize) {
 #[cfg(not(feature = "obs"))]
 fn note_gemm_i8(_m: usize, _n: usize, _k: usize) {}
 
-/// Total [`gemm_i8`] / [`gemm_i8_dequant`] invocations since start (or
-/// the last [`reset_kernel_metrics`]). Always 0 without the `obs`
-/// feature.
+/// Total [`gemm_i8_packed`] invocations since start (or the last
+/// [`reset_kernel_metrics`]). Always 0 without the `obs` feature.
 pub fn int8_gemm_invocations() -> u64 {
     #[cfg(feature = "obs")]
     {
@@ -655,65 +668,225 @@ pub fn int8_gemm_ops() -> u64 {
     }
 }
 
-/// Quantized matrix multiply `out[m,n] = a[m,k] · b[k,n]` over `i8`
-/// operands accumulating in `i32`, all row-major (NN layout — the
-/// `[in, out]` orientation `QuantizedTensor` weights are stored in,
-/// so no transpose is needed at call sites).
+/// Columns per panel of a [`PackedI8`] weight matrix.
+pub(crate) const I8_PANEL_COLS: usize = 16;
+/// Reduction steps per column group of a [`PackedI8`] panel: the four
+/// bytes one `vpdpbusd` lane consumes.
+pub(crate) const I8_PANEL_DEPTH: usize = 4;
+
+/// An int8 weight matrix `w [k, n]` in the weight-stationary layout
+/// the int8 kernels read, written once when the weights are quantized.
 ///
-/// Dispatches to widening SIMD kernels (i8 → i16 products, which are
-/// exact at magnitude ≤ 16 384, accumulated in i32 lanes) on AVX2 and
-/// NEON hosts; the scalar fallback streams `b` row-by-row as a
-/// scalar-times-row AXPY. Rows of `a` with a zero code are skipped on
-/// every path — exact for integers, and common after symmetric
-/// activation quantization of post-sigmoid gates. Integer arithmetic
-/// has no rounding, so all paths agree bit-for-bit.
+/// The codes live only as 16-column panels `[n/16][k/4][16][4]`: panel
+/// `t`, reduction quad `q`, column `c`, step `s` holds
+/// `w[4q + s][16t + c]`. One quad of one panel is 64 contiguous bytes
+/// — exactly one zmm load, whose 16 i32 lanes each see their column's
+/// four reduction steps — so every tier streams the weights at unit
+/// stride with no per-call packing. The tails of `k` and `n` are
+/// zero-padded. The panels start on a 64-byte boundary, so no 512-bit
+/// load straddles two cache lines.
 ///
-/// The worst-case product is `(−128) · (−128) = 16 384`, so `i32`
-/// accumulation is overflow-free only up to `k =` [`MAX_GEMM_I8_K`]
-/// `= 131 071` terms; a `debug_assert!` enforces the bound here.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match `m·k`, `k·n` and `m·n`.
-pub fn gemm_i8(a: &[i8], b: &[i8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    assert_eq!(a.len(), m * k, "gemm_i8 lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_i8 rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_i8 output length mismatch");
-    debug_assert!(
-        k <= MAX_GEMM_I8_K,
-        "gemm_i8 depth {k} exceeds the i32 overflow bound {MAX_GEMM_I8_K}"
-    );
-    note_gemm_i8(m, n, k);
-    if !simd::try_gemm_i8(a, b, m, n, k, out) {
-        scalar_gemm_i8(a, b, m, n, k, out);
+/// `colsum128[j] = 128 · Σ_p w[p][j]` (wrapping i32, zero-padded to
+/// whole panels) undoes the `u8 = a + 128` activation shift of the
+/// VNNI tier: `Σ_p (a + 128) · w = Σ_p a · w + colsum128[j]`.
+#[derive(Debug)]
+pub struct PackedI8 {
+    k: usize,
+    n: usize,
+    /// The panel bytes, behind up to 63 bytes of lead-in that align
+    /// them (see [`PackedI8::codes`]). A plain `Vec<i8>` rather than a
+    /// 64-byte-aligned element type: aligned allocations of this size
+    /// fragment the heap, and a server rebuilding its weights would
+    /// keep the fragments resident.
+    buf: Vec<i8>,
+    colsum128: Vec<i32>,
+}
+
+/// Alignment of the panel bytes: one cache line, one zmm register.
+const I8_PANEL_ALIGN: usize = 64;
+
+impl PackedI8 {
+    /// Packs a row-major `[k, n]` source, mapping each element to its
+    /// int8 code with `code` on the way — quantization and packing in
+    /// one pass, so no row-major copy of the codes is ever held. On
+    /// x86-64 hosts with AVX2 the loop runs as an `avx2`-compiled copy
+    /// (same source, same codes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != k·n`.
+    pub fn pack<T: Copy>(k: usize, n: usize, src: &[T], code: impl Fn(T) -> i8) -> Self {
+        assert_eq!(src.len(), k * n, "PackedI8 source length mismatch");
+        let mut packed = Self::zeroed(k, n);
+        let PackedI8 { buf, colsum128, .. } = &mut packed;
+        let codes = Self::aligned_mut(buf, k, n);
+        simd::pack_i8(src, k, n, code, codes, colsum128);
+        packed
+    }
+
+    /// Packs row-major `[k, n]` int8 codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != k·n`.
+    pub fn from_codes(k: usize, n: usize, codes: &[i8]) -> Self {
+        Self::pack(k, n, codes, |c| c)
+    }
+
+    /// All-zero panels and column sums for a `[k, n]` matrix.
+    fn zeroed(k: usize, n: usize) -> Self {
+        let panels = n.div_ceil(I8_PANEL_COLS);
+        PackedI8 {
+            k,
+            n,
+            buf: vec![0i8; Self::codes_len(k, n) + I8_PANEL_ALIGN - 1],
+            colsum128: vec![0i32; panels * I8_PANEL_COLS],
+        }
+    }
+
+    /// Panel bytes of a `[k, n]` matrix: whole panels of whole quads.
+    fn codes_len(k: usize, n: usize) -> usize {
+        n.div_ceil(I8_PANEL_COLS) * k.div_ceil(I8_PANEL_DEPTH) * I8_PANEL_COLS * I8_PANEL_DEPTH
+    }
+
+    /// Lead-in bytes before the first 64-byte boundary of `buf`.
+    fn lead(buf: &[i8]) -> usize {
+        buf.as_ptr()
+            .align_offset(I8_PANEL_ALIGN)
+            .min(I8_PANEL_ALIGN - 1)
+    }
+
+    /// The aligned panel bytes inside `buf`.
+    fn aligned_mut(buf: &mut [i8], k: usize, n: usize) -> &mut [i8] {
+        let lead = Self::lead(buf);
+        &mut buf[lead..lead + Self::codes_len(k, n)]
+    }
+
+    /// `(k, n)` shape of the logical weight matrix.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// The code of `w[p][j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(p, j)` is outside `[k, n]`.
+    pub fn get(&self, p: usize, j: usize) -> i8 {
+        assert!(
+            p < self.k && j < self.n,
+            "({p}, {j}) outside {:?}",
+            self.shape()
+        );
+        let kq = self.k.div_ceil(I8_PANEL_DEPTH);
+        let (t, c) = (j / I8_PANEL_COLS, j % I8_PANEL_COLS);
+        let (q, s) = (p / I8_PANEL_DEPTH, p % I8_PANEL_DEPTH);
+        self.codes()[((t * kq + q) * I8_PANEL_COLS + c) * I8_PANEL_DEPTH + s]
+    }
+
+    /// Storage in bytes: the padded panels plus the column sums.
+    pub fn size_bytes(&self) -> usize {
+        self.buf.len() + size_of_val(self.colsum128.as_slice())
+    }
+
+    /// The panel bytes, `[n/16][k/4][16][4]`, starting on a 64-byte
+    /// boundary.
+    pub(crate) fn codes(&self) -> &[i8] {
+        let lead = Self::lead(&self.buf);
+        &self.buf[lead..lead + Self::codes_len(self.k, self.n)]
+    }
+
+    /// `128 · Σ_p w[p][j]` per column, padded to whole panels.
+    pub(crate) fn colsum128(&self) -> &[i32] {
+        &self.colsum128
+    }
+}
+
+impl Clone for PackedI8 {
+    /// A copy whose panels are aligned within its own buffer (the
+    /// lead-in depends on where the allocation lands).
+    fn clone(&self) -> Self {
+        let mut copy = Self::zeroed(self.k, self.n);
+        Self::aligned_mut(&mut copy.buf, self.k, self.n).copy_from_slice(self.codes());
+        copy.colsum128.copy_from_slice(&self.colsum128);
+        copy
+    }
+}
+
+/// Quantize-and-pack loop behind [`PackedI8::pack`], shared by the
+/// plain and `avx2`-target-feature compilations picked in
+/// [`simd::pack_i8`]. `codes` and `colsum` arrive zeroed and sized for
+/// whole panels.
+#[inline(always)]
+pub(crate) fn pack_i8_body<T: Copy>(
+    src: &[T],
+    k: usize,
+    n: usize,
+    code: impl Fn(T) -> i8,
+    codes: &mut [i8],
+    colsum: &mut [i32],
+) {
+    let quad_len = I8_PANEL_COLS * I8_PANEL_DEPTH;
+    let panel_len = k.div_ceil(I8_PANEL_DEPTH) * quad_len;
+    for (p, row) in src.chunks_exact(n.max(1)).take(k).enumerate() {
+        let (q, s) = (p / I8_PANEL_DEPTH, p % I8_PANEL_DEPTH);
+        for (t, (chunk, sums)) in row
+            .chunks(I8_PANEL_COLS)
+            .zip(colsum.chunks_exact_mut(I8_PANEL_COLS))
+            .enumerate()
+        {
+            let quad = &mut codes[t * panel_len + q * quad_len..][..quad_len];
+            for ((&v, cs), dst) in chunk
+                .iter()
+                .zip(sums.iter_mut())
+                .zip(quad.chunks_exact_mut(I8_PANEL_DEPTH))
+            {
+                let c = code(v);
+                dst[s] = c;
+                *cs += i32::from(c);
+            }
+        }
+    }
+    for cs in colsum.iter_mut() {
+        *cs = cs.wrapping_mul(128);
     }
 }
 
 /// Quantized matrix multiply with the dequantization epilogue fused
-/// in: `out[i][j] (+)= scales[i] · sw · (acc[i][j] − zw · sums[i])`
-/// where `acc` is the i32 product of [`gemm_i8`]. On SIMD tiers the
-/// i32 accumulators live entirely in registers — the `m × n` i32
-/// scratch buffer the unfused sequence needs is gone. `scales` and
-/// `sums` are the per-row activation quantization parameters
-/// (`QuantizedRows`), `sw`/`zw` the weight scale and zero point.
+/// in, over packed weights:
 ///
-/// The correction subtraction uses wrapping i32 arithmetic and the
-/// i32 → f32 conversion rounds to nearest even on every path, so
-/// scalar and SIMD results are bitwise-identical. With `accumulate`,
-/// contributions are added on top of `out` (`gates += wh·h` in the
-/// quantized LSTM); otherwise `out` is overwritten.
+/// ```text
+/// out[i][j] (+)= (scales[i] · sw) · ((acc[i][j] − zw · sums[i]) as f32)
+/// acc[i][j]     = Σ_p a[i][p] · w[p][j]          (i8 × i8 → i32)
+/// ```
+///
+/// `a` is row-major `[m, k]` activation codes; `scales` and `sums` are
+/// their per-row quantization parameters (`QuantizedRows`), `sw`/`zw`
+/// the weight scale and zero point. With `accumulate`, contributions
+/// are added on top of `out` (`gates += wh·h` in the quantized LSTM);
+/// otherwise `out` is overwritten. `m = 1` is the single-row GEMV
+/// serving runs; the SIMD tiers block rows for larger `m`.
+///
+/// Dispatches to the AVX-512 VNNI, AVX2 or scalar tier
+/// ([`active_int8_isa`]); the i32 accumulators stay in registers. The
+/// integer sums and the correction use wrapping i32 arithmetic and the
+/// i32 → f32 conversion rounds to nearest even on every tier, so all
+/// tiers are bitwise-identical (see [`PackedI8`] for the VNNI shift
+/// identity).
+///
+/// The worst-case product is `(−128) · (−128) = 16 384`, so the exact
+/// sum fits i32 only up to `k =` [`MAX_GEMM_I8_K`] `= 131 071` terms; a
+/// `debug_assert!` enforces the bound here.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths do not match `m·k`, `k·n`, `m·n`, and
-/// `m` for `scales` / `sums`.
+/// Panics if the slice lengths do not match `m·k`, `m·n`, and `m` for
+/// `scales` / `sums`, with `(k, n) = w.shape()`.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_dequant(
+pub fn gemm_i8_packed(
     a: &[i8],
-    b: &[i8],
+    w: &PackedI8,
     m: usize,
-    n: usize,
-    k: usize,
     scales: &[f32],
     sums: &[i32],
     sw: f32,
@@ -721,44 +894,59 @@ pub fn gemm_i8_dequant(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_i8_dequant lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_i8_dequant rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_i8_dequant output length mismatch");
-    assert_eq!(scales.len(), m, "gemm_i8_dequant scales length mismatch");
-    assert_eq!(sums.len(), m, "gemm_i8_dequant sums length mismatch");
+    gemm_i8_packed_on(
+        active_int8_isa(),
+        a,
+        w,
+        m,
+        scales,
+        sums,
+        sw,
+        zw,
+        out,
+        accumulate,
+    );
+}
+
+/// [`gemm_i8_packed`] on an explicit tier (the tier tests call every
+/// tier the host has).
+///
+/// # Panics
+///
+/// As [`gemm_i8_packed`], and if the host cannot run `isa`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_i8_packed_on(
+    isa: Int8Isa,
+    a: &[i8],
+    w: &PackedI8,
+    m: usize,
+    scales: &[f32],
+    sums: &[i32],
+    sw: f32,
+    zw: i32,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    let (k, n) = w.shape();
+    assert_eq!(a.len(), m * k, "gemm_i8_packed lhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_i8_packed output length mismatch");
+    assert_eq!(scales.len(), m, "gemm_i8_packed scales length mismatch");
+    assert_eq!(sums.len(), m, "gemm_i8_packed sums length mismatch");
     debug_assert!(
         k <= MAX_GEMM_I8_K,
-        "gemm_i8_dequant depth {k} exceeds the i32 overflow bound {MAX_GEMM_I8_K}"
+        "gemm_i8_packed depth {k} exceeds the i32 overflow bound {MAX_GEMM_I8_K}"
     );
     note_gemm_i8(m, n, k);
-    if !simd::try_gemm_i8_dequant(a, b, m, n, k, scales, sums, sw, zw, out, accumulate) {
-        scalar_gemm_i8_dequant(a, b, m, n, k, scales, sums, sw, zw, out, accumulate);
-    }
+    simd::gemm_i8_packed_on(isa, a, w, m, scales, sums, sw, zw, out, accumulate);
 }
 
-/// Scalar int8 reference: AXPY row streaming with zero-skip.
-fn scalar_gemm_i8(a: &[i8], b: &[i8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    for o in out.iter_mut() {
-        *o = 0;
-    }
-    for i in 0..m {
-        i8_axpy_row(
-            &a[i * k..(i + 1) * k],
-            b,
-            n,
-            k,
-            &mut out[i * n..(i + 1) * n],
-        );
-    }
-}
-
-/// Scalar fused-dequant fallback: one reusable n-length i32 strip per
-/// row (thread-local, sanctioned scratch) instead of an `m × n`
-/// buffer.
+/// Scalar tier of [`gemm_i8_packed`] and the golden reference for the
+/// SIMD tiers: per row and panel, 16 i32 accumulators sweep the
+/// panel's quads in order, then the shared epilogue.
 #[allow(clippy::too_many_arguments)]
-fn scalar_gemm_i8_dequant(
+pub(crate) fn scalar_gemm_i8_packed(
     a: &[i8],
-    b: &[i8],
+    codes: &[i8],
     m: usize,
     n: usize,
     k: usize,
@@ -769,51 +957,35 @@ fn scalar_gemm_i8_dequant(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    simd::pack::for_each_zeroed_i8_strip(n, m, |i, accrow| {
-        i8_axpy_row(&a[i * k..(i + 1) * k], b, n, k, accrow);
+    let quad_len = I8_PANEL_COLS * I8_PANEL_DEPTH;
+    let panel_len = k.div_ceil(I8_PANEL_DEPTH) * quad_len;
+    for i in 0..m {
+        let row = &a[i * k..(i + 1) * k];
         let corr = zw.wrapping_mul(sums[i]);
         let sc = scales[i] * sw;
         let orow = &mut out[i * n..(i + 1) * n];
-        for (o, &acc) in orow.iter_mut().zip(accrow.iter()) {
-            let v = sc * (acc.wrapping_sub(corr)) as f32;
-            *o = if accumulate { *o + v } else { v };
-        }
-    });
-}
-
-/// One output row of the scalar int8 kernel: `out_row[j] += Σ_p
-/// a_row[p] · b[p][j]` over a zeroed `out_row`.
-///
-/// Four A-coefficients per pass: the i32 output row is streamed `k/4`
-/// times instead of `k` times, which dominates the cost at the skinny
-/// shapes inference produces (`m` = batch, often 1). Integer
-/// arithmetic is exact, so the blocking cannot change the result.
-fn i8_axpy_row(a_row: &[i8], b: &[i8], n: usize, k: usize, out_row: &mut [i32]) {
-    let mut p = 0;
-    while p + 4 <= k {
-        let c0 = a_row[p] as i32;
-        let c1 = a_row[p + 1] as i32;
-        let c2 = a_row[p + 2] as i32;
-        let c3 = a_row[p + 3] as i32;
-        if c0 | c1 | c2 | c3 != 0 {
-            let (b0, rest) = b[p * n..(p + 4) * n].split_at(n);
-            let (b1, rest) = rest.split_at(n);
-            let (b2, b3) = rest.split_at(n);
-            for ((((o, &v0), &v1), &v2), &v3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-            {
-                *o += c0 * v0 as i32 + c1 * v1 as i32 + c2 * v2 as i32 + c3 * v3 as i32;
+        for (t, ochunk) in orow.chunks_mut(I8_PANEL_COLS).enumerate() {
+            let panel = &codes[t * panel_len..(t + 1) * panel_len];
+            let mut acc = [0i32; I8_PANEL_COLS];
+            for (xq, quad) in row.chunks(I8_PANEL_DEPTH).zip(panel.chunks_exact(quad_len)) {
+                // Zero-padded past `k`, like the panel: fixed-size
+                // dots the compiler can vectorize across the columns.
+                let mut x = [0i32; I8_PANEL_DEPTH];
+                for (xs, &v) in x.iter_mut().zip(xq) {
+                    *xs = i32::from(v);
+                }
+                for (c, w) in acc.iter_mut().zip(quad.chunks_exact(I8_PANEL_DEPTH)) {
+                    let dot = x[0] * i32::from(w[0])
+                        + x[1] * i32::from(w[1])
+                        + x[2] * i32::from(w[2])
+                        + x[3] * i32::from(w[3]);
+                    *c = c.wrapping_add(dot);
+                }
             }
-        }
-        p += 4;
-    }
-    for (&ap, p) in a_row[p..].iter().zip(p..k) {
-        if ap == 0 {
-            continue;
-        }
-        let ap = ap as i32;
-        let b_row = &b[p * n..(p + 1) * n];
-        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-            *o += ap * bv as i32;
+            for (o, &c) in ochunk.iter_mut().zip(&acc) {
+                let v = sc * (c.wrapping_sub(corr)) as f32;
+                *o = if accumulate { *o + v } else { v };
+            }
         }
     }
 }
@@ -1040,29 +1212,6 @@ mod tests {
             let ctx = format!("round {round} {layout:?} {m}x{n}x{k}");
             assert_bits_eq(fast.as_slice(), slow.as_slice(), &ctx);
             assert_bits_eq(fast.as_slice(), reference.as_slice(), &ctx);
-
-            // Int8: SIMD vs the exact integer reference.
-            let qa: Vec<i8> = (0..m * k)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
-            let qb: Vec<i8> = (0..k * n)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
-            let mut qfast = vec![1i32; m * n];
-            gemm_i8(&qa, &qb, m, n, k, &mut qfast);
-            set_force_scalar(true);
-            let mut qslow = vec![2i32; m * n];
-            gemm_i8(&qa, &qb, m, n, k, &mut qslow);
-            set_force_scalar(false);
-            assert_eq!(qfast, qslow, "{ctx} int8 dispatch");
-            for i in 0..m {
-                for j in 0..n {
-                    let want: i32 = (0..k)
-                        .map(|p| qa[i * k + p] as i32 * qb[p * n + j] as i32)
-                        .sum();
-                    assert_eq!(qfast[i * n + j], want, "{ctx} int8 at ({i},{j})");
-                }
-            }
         }
     }
 
@@ -1167,25 +1316,196 @@ mod tests {
         gemm(&a, &b, Layout::NN, &mut out);
     }
 
+    fn random_codes(len: usize, rng: &mut impl Rng) -> Vec<i8> {
+        (0..len)
+            .map(|_| rng.gen_range(-128i32..=127) as i8)
+            .collect()
+    }
+
+    fn row_sums(a: &[i8], k: usize) -> Vec<i32> {
+        a.chunks_exact(k.max(1))
+            .map(|row| row.iter().map(|&v| i32::from(v)).sum())
+            .collect()
+    }
+
+    /// Plain integer reference: exact `Σ_p a[i][p] · w[p][j]` over
+    /// row-major `a [m, k]` and `w [k, n]`.
+    fn i8_reference(a: &[i8], w: &[i8], m: usize, n: usize, k: usize) -> Vec<i64> {
+        let mut acc = vec![0i64; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let x = i64::from(a[i * k + p]);
+                for (o, &y) in acc[i * n..(i + 1) * n]
+                    .iter_mut()
+                    .zip(&w[p * n..(p + 1) * n])
+                {
+                    *o += x * i64::from(y);
+                }
+            }
+        }
+        acc
+    }
+
+    /// The documented epilogue applied to reference sums: the values
+    /// every tier must reproduce bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn dequant_reference(
+        acc: &[i64],
+        n: usize,
+        scales: &[f32],
+        sums: &[i32],
+        sw: f32,
+        zw: i32,
+        base: &[f32],
+        accumulate: bool,
+    ) -> Vec<f32> {
+        let mut want = base.to_vec();
+        for (i, orow) in want.chunks_mut(n.max(1)).enumerate() {
+            let corr = zw.wrapping_mul(sums[i]);
+            let sc = scales[i] * sw;
+            for (o, &x) in orow.iter_mut().zip(&acc[i * n..(i + 1) * n]) {
+                let v = sc * ((x as i32).wrapping_sub(corr)) as f32;
+                *o = if accumulate { *o + v } else { v };
+            }
+        }
+        want
+    }
+
+    fn host_tiers() -> Vec<Int8Isa> {
+        Int8Isa::ALL.into_iter().filter(|t| t.supported()).collect()
+    }
+
+    #[test]
+    fn packed_i8_layout_round_trips_with_padding_and_column_sums() {
+        let mut rng = StdRng::seed_from_u64(0x9AC4);
+        for &(k, n) in &[(1usize, 1usize), (3, 15), (4, 16), (5, 17), (9, 40)] {
+            let w = random_codes(k * n, &mut rng);
+            let packed = PackedI8::from_codes(k, n, &w);
+            assert_eq!(packed.shape(), (k, n));
+            let panels = n.div_ceil(I8_PANEL_COLS);
+            let depth = k.div_ceil(I8_PANEL_DEPTH) * I8_PANEL_DEPTH;
+            assert_eq!(packed.codes().len(), panels * depth * I8_PANEL_COLS);
+            assert_eq!(
+                packed.codes().as_ptr().align_offset(64),
+                0,
+                "panels are aligned"
+            );
+            let copy = packed.clone();
+            assert_eq!(copy.codes(), packed.codes());
+            assert_eq!(copy.colsum128(), packed.colsum128());
+            assert_eq!(copy.codes().as_ptr().align_offset(64), 0);
+            assert_eq!(packed.colsum128().len(), panels * I8_PANEL_COLS);
+            for p in 0..k {
+                for j in 0..n {
+                    assert_eq!(packed.get(p, j), w[p * n + j], "({p}, {j}) of {k}x{n}");
+                }
+            }
+            // Padding: only real codes are nonzero-able, so the panel
+            // bytes sum to the codes' sum, and padded columns sum to 0.
+            let total: i64 = packed.codes().iter().map(|&c| i64::from(c)).sum();
+            assert_eq!(total, w.iter().map(|&c| i64::from(c)).sum::<i64>());
+            for (j, &cs) in packed.colsum128().iter().enumerate() {
+                let want: i32 = (0..k)
+                    .map(|p| if j < n { i32::from(w[p * n + j]) } else { 0 })
+                    .sum();
+                assert_eq!(cs, 128 * want, "column {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_i8_tiers_match_integer_reference_property() {
+        let _guard = simd::test_toggle_lock();
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        {
+            // A host with the instructions must run their tiers here.
+            if is_x86_feature_detected!("avx2") {
+                assert!(Int8Isa::Avx2.supported());
+            }
+            if is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512bw") {
+                assert!(Int8Isa::Avx512Vnni.supported());
+            }
+        }
+        let tiers = host_tiers();
+        assert_eq!(tiers[0], Int8Isa::Scalar);
+        let mut rng = StdRng::seed_from_u64(0x1_8BAD_5EED);
+        for &k in &[1usize, 2, 3, 4, 5, 80, 128] {
+            for &n in &[1usize, 15, 16, 17, 63, 64, 8192] {
+                // Extreme weight codes in the first and last columns.
+                let mut w = random_codes(k * n, &mut rng);
+                for p in 0..k {
+                    w[p * n] = -128;
+                    w[p * n + n - 1] = 127;
+                }
+                let packed = PackedI8::from_codes(k, n, &w);
+                for &m in &[1usize, 2, 3, 4, 5, 8, 64] {
+                    // Row 0 all −128, row 1 all zero, row 2 all 127.
+                    let mut a = random_codes(m * k, &mut rng);
+                    for (i, row) in a.chunks_mut(k).enumerate().take(3) {
+                        row.fill([-128, 0, 127][i]);
+                    }
+                    let sums = row_sums(&a, k);
+                    // Unit scales on even rows keep the output an exact
+                    // image of the integer sums; odd rows exercise the
+                    // scale multiply.
+                    let scales: Vec<f32> = (0..m)
+                        .map(|i| {
+                            if i % 2 == 0 {
+                                1.0
+                            } else {
+                                0.01 + i as f32 * 0.003
+                            }
+                        })
+                        .collect();
+                    let zw = rng.gen_range(-128i32..=127);
+                    let acc = i8_reference(&a, &w, m, n, k);
+                    for accumulate in [false, true] {
+                        let base: Vec<f32> =
+                            (0..m * n).map(|x| (x % 97) as f32 * 0.25 - 9.0).collect();
+                        let want =
+                            dequant_reference(&acc, n, &scales, &sums, 1.0, zw, &base, accumulate);
+                        let mut scalar = base.clone();
+                        gemm_i8_packed_on(
+                            Int8Isa::Scalar,
+                            &a,
+                            &packed,
+                            m,
+                            &scales,
+                            &sums,
+                            1.0,
+                            zw,
+                            &mut scalar,
+                            accumulate,
+                        );
+                        let ctx = format!("{m}x{n}x{k} accumulate={accumulate}");
+                        assert_bits_eq(&scalar, &want, &format!("scalar {ctx}"));
+                        for &tier in &tiers[1..] {
+                            let mut got = base.clone();
+                            gemm_i8_packed_on(
+                                tier, &a, &packed, m, &scales, &sums, 1.0, zw, &mut got, accumulate,
+                            );
+                            assert_bits_eq(&got, &scalar, &format!("{} {ctx}", tier.name()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_i8_matches_integer_reference() {
         let mut rng = thread_rng();
         for &(m, n, k) in &[(1usize, 1usize, 1usize), (3, 5, 4), (4, 7, 9), (2, 16, 33)] {
-            let a: Vec<i8> = (0..m * k)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
-            let b: Vec<i8> = (0..k * n)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
-            let mut out = vec![1i32; m * n]; // nonzero: must be overwritten
-            gemm_i8(&a, &b, m, n, k, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    let want: i32 = (0..k)
-                        .map(|p| a[i * k + p] as i32 * b[p * n + j] as i32)
-                        .sum();
-                    assert_eq!(out[i * n + j], want, "({m},{n},{k}) at ({i},{j})");
-                }
+            let a = random_codes(m * k, &mut rng);
+            let b = random_codes(k * n, &mut rng);
+            let packed = PackedI8::from_codes(k, n, &b);
+            let sums = row_sums(&a, k);
+            let scales = vec![1.0f32; m];
+            let mut out = vec![1.0f32; m * n]; // nonzero: must be overwritten
+            gemm_i8_packed(&a, &packed, m, &scales, &sums, 1.0, 0, &mut out, false);
+            let want = i8_reference(&a, &b, m, n, k);
+            for (i, (&got, &want)) in out.iter().zip(&want).enumerate() {
+                assert_eq!(got, want as f32, "({m},{n},{k}) at {i}");
             }
         }
     }
@@ -1193,21 +1513,46 @@ mod tests {
     #[test]
     fn gemm_i8_boundary_depth_is_exact() {
         let _guard = simd::test_toggle_lock();
-        // Worst-case magnitudes at the documented depth limit: the
-        // accumulator reaches 131 071 · 16 384 = 2 147 467 264, just
-        // below i32::MAX. n = 16 drives the vector strip path, n = 1
-        // the scalar-tail path.
+        // Worst-case magnitudes at the documented depth limit. Every
+        // weight is −128 except `w[0][j] = −128 + j`; with zw = −128
+        // the output is `x · j` exactly, while the raw accumulator runs
+        // at the bound (x = −128: 131 071 · 16 384 = 2 147 467 264,
+        // just below i32::MAX) and the VNNI tier's shifted sums wrap.
+        // n = 16 fills one panel, n = 1 and 17 leave padded tails.
         let k = MAX_GEMM_I8_K;
-        let want = (k as i64 * 16_384) as i32;
-        assert!((want as i64) == k as i64 * 16_384, "bound fits i32");
-        for n in [1usize, 16] {
-            let a = vec![-128i8; k];
-            let b = vec![-128i8; k * n];
-            let mut out = vec![0i32; n];
-            for force in [false, true] {
-                set_force_scalar(force);
-                gemm_i8(&a, &b, 1, n, k, &mut out);
-                assert!(out.iter().all(|&v| v == want), "n={n} force={force}");
+        assert!((k as i64 * 16_384) <= i32::MAX as i64, "bound fits i32");
+        for n in [1usize, 16, 17] {
+            let mut w = vec![-128i8; k * n];
+            for (j, c) in w[..n].iter_mut().enumerate() {
+                *c = (-128 + j as i32) as i8;
+            }
+            let packed = PackedI8::from_codes(k, n, &w);
+            for x in [-128i8, 127] {
+                let a = vec![x; k];
+                let sums = [i32::from(x) * k as i32];
+                let want: Vec<f32> = (0..n).map(|j| (i32::from(x) * j as i32) as f32).collect();
+                for tier in host_tiers() {
+                    let mut out = vec![0.0f32; n];
+                    gemm_i8_packed_on(
+                        tier,
+                        &a,
+                        &packed,
+                        1,
+                        &[1.0],
+                        &sums,
+                        1.0,
+                        -128,
+                        &mut out,
+                        false,
+                    );
+                    assert_bits_eq(&out, &want, &format!("n={n} x={x} {}", tier.name()));
+                }
+                for force in [false, true] {
+                    set_force_scalar(force);
+                    let mut out = vec![0.0f32; n];
+                    gemm_i8_packed(&a, &packed, 1, &[1.0], &sums, 1.0, -128, &mut out, false);
+                    assert_bits_eq(&out, &want, &format!("n={n} x={x} force={force}"));
+                }
             }
         }
         set_force_scalar(false);
@@ -1216,12 +1561,12 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn gemm_i8_depth_beyond_bound_is_rejected_in_debug() {
+        let k = MAX_GEMM_I8_K + 1;
+        let packed = PackedI8::from_codes(k, 1, &vec![0i8; k]);
         let r = std::panic::catch_unwind(|| {
-            let k = MAX_GEMM_I8_K + 1;
             let a = vec![0i8; k];
-            let b = vec![0i8; k];
-            let mut out = vec![0i32; 1];
-            gemm_i8(&a, &b, 1, 1, k, &mut out);
+            let mut out = vec![0.0f32; 1];
+            gemm_i8_packed(&a, &packed, 1, &[1.0], &[0], 1.0, 0, &mut out, false);
         });
         assert!(r.is_err());
     }
@@ -1237,40 +1582,23 @@ mod tests {
             (2, 17, 9),
             (3, 33, 5),
             (4, 40, 21),
+            (9, 70, 13),
         ] {
-            let a: Vec<i8> = (0..m * k)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
-            let b: Vec<i8> = (0..k * n)
-                .map(|_| rng.gen_range(-128i32..=127) as i8)
-                .collect();
+            let a = random_codes(m * k, &mut rng);
+            let b = random_codes(k * n, &mut rng);
+            let packed = PackedI8::from_codes(k, n, &b);
             let scales: Vec<f32> = (0..m).map(|i| 0.01 + i as f32 * 0.003).collect();
-            let sums: Vec<i32> = a
-                .chunks_exact(k)
-                .map(|row| row.iter().map(|&v| v as i32).sum())
-                .collect();
+            let sums = row_sums(&a, k);
             let zw = rng.gen_range(-5i32..=5);
             // Unfused reference: integer GEMM, then the epilogue.
-            let mut acc = vec![0i32; m * n];
-            gemm_i8(&a, &b, m, n, k, &mut acc);
+            let acc = i8_reference(&a, &b, m, n, k);
             for accumulate in [false, true] {
                 let base: Vec<f32> = (0..m * n).map(|x| x as f32 * 0.5 - 7.0).collect();
-                let mut want = base.clone();
-                for i in 0..m {
-                    let corr = zw.wrapping_mul(sums[i]);
-                    let sc = scales[i] * sw;
-                    for j in 0..n {
-                        let v = sc * (acc[i * n + j].wrapping_sub(corr)) as f32;
-                        let o = &mut want[i * n + j];
-                        *o = if accumulate { *o + v } else { v };
-                    }
-                }
+                let want = dequant_reference(&acc, n, &scales, &sums, sw, zw, &base, accumulate);
                 for force in [false, true] {
                     set_force_scalar(force);
                     let mut got = base.clone();
-                    gemm_i8_dequant(
-                        &a, &b, m, n, k, &scales, &sums, sw, zw, &mut got, accumulate,
-                    );
+                    gemm_i8_packed(&a, &packed, m, &scales, &sums, sw, zw, &mut got, accumulate);
                     assert_bits_eq(
                         &got,
                         &want,
@@ -1284,10 +1612,23 @@ mod tests {
 
     #[test]
     fn gemm_i8_rejects_bad_lengths() {
+        let packed = PackedI8::from_codes(2, 2, &[3, 4, 5, 6]);
         let r = std::panic::catch_unwind(|| {
-            let mut out = vec![0i32; 4];
-            gemm_i8(&[1, 2], &[3, 4], 2, 2, 2, &mut out);
+            let mut out = vec![0.0f32; 4];
+            gemm_i8_packed(
+                &[1, 2],
+                &packed,
+                2,
+                &[1.0; 2],
+                &[0; 2],
+                1.0,
+                0,
+                &mut out,
+                false,
+            );
         });
+        assert!(r.is_err());
+        let r = std::panic::catch_unwind(|| PackedI8::from_codes(2, 3, &[1, 2, 3]));
         assert!(r.is_err());
     }
 
@@ -1295,11 +1636,11 @@ mod tests {
     #[test]
     fn int8_metrics_tally_calls_and_ops() {
         let a = vec![1i8; 4 * 8];
-        let b = vec![1i8; 8 * 16];
-        let mut out = vec![0i32; 4 * 16];
+        let b = PackedI8::from_codes(8, 16, &[1i8; 8 * 16]);
+        let mut out = vec![0.0f32; 4 * 16];
         let calls0 = int8_gemm_invocations();
         let ops0 = int8_gemm_ops();
-        gemm_i8(&a, &b, 4, 16, 8, &mut out);
+        gemm_i8_packed(&a, &b, 4, &[1.0; 4], &[8; 4], 1.0, 0, &mut out, false);
         assert!(int8_gemm_invocations() > calls0);
         assert!(int8_gemm_ops() >= ops0 + 2 * 4 * 16 * 8);
     }

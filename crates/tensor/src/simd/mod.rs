@@ -7,6 +7,12 @@
 //! path remains as the portable fallback and as the golden reference
 //! the SIMD tiers are tested against.
 //!
+//! The packed int8 GEMM has its own tier, [`Int8Isa`]: AVX-512 VNNI
+//! when the host reports `avx512vnni`, else AVX2, else the scalar
+//! packed kernel (also the aarch64 path: there is no NEON int8 tier).
+//! Its tiers compute exact integer sums in wrapping i32 arithmetic and
+//! share one epilogue, so they agree bit for bit as well.
+//!
 //! # Bitwise identity across tiers
 //!
 //! Every tier — scalar, AVX2/FMA, AVX-512, NEON — accumulates each
@@ -40,7 +46,8 @@ pub(crate) mod neon;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
-/// The instruction-set tier the GEMM kernels dispatch to.
+/// The instruction-set tier the f32 GEMM kernels dispatch to (the
+/// int8 kernel picks its own, [`Int8Isa`]).
 ///
 /// Ordinals (see [`Isa::ordinal`]) are stable and exported as the
 /// `tensor.gemm.dispatch` gauge by `voyagerctl metrics`:
@@ -49,7 +56,7 @@ pub(crate) mod x86;
 pub enum Isa {
     /// Portable scalar blocked kernels (the golden reference).
     Scalar,
-    /// AVX2 + FMA: 8-lane f32 tiles, 16-lane i8→i16 widening dots.
+    /// AVX2 + FMA: 8-lane f32 tiles.
     Avx2,
     /// AVX-512F/BW: 16-lane f32 tiles (two FMA ports on server parts).
     Avx512,
@@ -91,9 +98,10 @@ impl Isa {
     }
 }
 
-/// When set, all kernel entry points route to the scalar blocked path
-/// regardless of detected CPU features. Results are bitwise-identical
-/// either way; this exists for benchmarks and golden tests.
+/// When set, all kernel entry points route to the scalar path (f32:
+/// blocked; int8: packed) regardless of detected CPU features. Results
+/// are bitwise-identical either way; this exists for benchmarks and
+/// golden tests.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Routes all subsequent kernel calls through the scalar blocked path
@@ -108,60 +116,137 @@ pub fn force_scalar() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
-/// Cached hardware probe: the best available tier plus whether the
-/// host has a hardware FMA unit (used to pick the fast compiled copy
-/// of the *scalar* kernels — same arithmetic, same bits, no libm
-/// round trip per element).
-static DETECTED: OnceLock<(Isa, bool)> = OnceLock::new();
+/// The instruction-set tier the int8 kernel
+/// ([`gemm_i8_packed`](crate::kernels::gemm_i8_packed)) dispatches to.
+/// Every tier reads the same packed weight panels and computes the
+/// same integers, so the choice never changes a result.
+///
+/// Ordinals (see [`Int8Isa::ordinal`]) are stable and exported as the
+/// `tensor.gemm.int8_dispatch` gauge by `voyagerctl metrics`:
+/// `0 = scalar`, `1 = avx2`, `2 = avx512-vnni`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Int8Isa {
+    /// Portable scalar kernel over the packed panels (the golden
+    /// reference; also the aarch64 path).
+    Scalar,
+    /// AVX2 `vpmaddwd`: i8 codes widened to i16, exact pairwise
+    /// products summed into i32 lanes.
+    Avx2,
+    /// AVX-512 VNNI `vpdpbusd`: four `u8 × i8` products per i32 lane,
+    /// activations shifted to `u8 = a + 128`.
+    Avx512Vnni,
+}
+
+impl Int8Isa {
+    /// Every tier, slowest first.
+    pub const ALL: [Int8Isa; 3] = [Int8Isa::Scalar, Int8Isa::Avx2, Int8Isa::Avx512Vnni];
+
+    /// Lower-case tier name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Int8Isa::Scalar => "scalar",
+            Int8Isa::Avx2 => "avx2",
+            Int8Isa::Avx512Vnni => "avx512-vnni",
+        }
+    }
+
+    /// Stable numeric id for the `tensor.gemm.int8_dispatch` gauge.
+    pub fn ordinal(self) -> i64 {
+        match self {
+            Int8Isa::Scalar => 0,
+            Int8Isa::Avx2 => 1,
+            Int8Isa::Avx512Vnni => 2,
+        }
+    }
+
+    /// Whether this host can run the tier (every tier at or below
+    /// [`detected_int8_isa`]).
+    pub fn supported(self) -> bool {
+        self <= detected_int8_isa()
+    }
+}
+
+/// Cached hardware probe. `fma` and `avx2` pick the fast compiled copy
+/// of *portable* code (the scalar kernels, the int8 quantize-and-pack
+/// loop): same source, same bits, no libm round trip per element.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Hw {
+    isa: Isa,
+    int8: Int8Isa,
+    fma: bool,
+    avx2: bool,
+}
+
+static DETECTED: OnceLock<Hw> = OnceLock::new();
 
 #[cfg(target_arch = "x86_64")]
-fn detect_hw() -> (Isa, bool) {
+fn detect_hw() -> Hw {
     let fma = is_x86_feature_detected!("fma");
     let avx2 = is_x86_feature_detected!("avx2");
-    if fma && avx2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-        (Isa::Avx512, true)
+    let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+    let isa = if fma && avx2 && avx512 {
+        Isa::Avx512
     } else if fma && avx2 {
-        (Isa::Avx2, true)
+        Isa::Avx2
     } else {
-        (Isa::Scalar, fma)
+        Isa::Scalar
+    };
+    let int8 = if avx2 && avx512 && is_x86_feature_detected!("avx512vnni") {
+        Int8Isa::Avx512Vnni
+    } else if avx2 {
+        Int8Isa::Avx2
+    } else {
+        Int8Isa::Scalar
+    };
+    let hw = Hw {
+        isa,
+        int8,
+        fma,
+        avx2,
+    };
+    if cfg!(feature = "force-scalar") {
+        // Compile-time kill switch: no explicit SIMD kernel runs. The
+        // portable code may still use its `fma`/`avx2` compiled copies
+        // — identical bits, they only skip per-element libm calls.
+        return Hw {
+            isa: Isa::Scalar,
+            int8: Int8Isa::Scalar,
+            ..hw
+        };
     }
+    hw
 }
 
 #[cfg(target_arch = "aarch64")]
-fn detect_hw() -> (Isa, bool) {
+fn detect_hw() -> Hw {
     // NEON (with fused `fmla`) is part of the baseline aarch64 target.
-    (Isa::Neon, false)
+    // The int8 kernel has no NEON tier: it runs the scalar packed path.
+    let isa = if cfg!(feature = "force-scalar") {
+        Isa::Scalar
+    } else {
+        Isa::Neon
+    };
+    Hw {
+        isa,
+        int8: Int8Isa::Scalar,
+        fma: false,
+        avx2: false,
+    }
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn detect_hw() -> (Isa, bool) {
-    (Isa::Scalar, false)
-}
-
-fn detection() -> (Isa, bool) {
-    if cfg!(feature = "force-scalar") {
-        // Compile-time kill switch: pretend the host has nothing. The
-        // scalar path may still use the FMA-compiled copy — identical
-        // bits, it only skips the libm fma round trip per element.
-        return *DETECTED.get_or_init(detect_hw_fma_only);
+fn detect_hw() -> Hw {
+    Hw {
+        isa: Isa::Scalar,
+        int8: Int8Isa::Scalar,
+        fma: false,
+        avx2: false,
     }
+}
+
+fn detection() -> Hw {
     *DETECTED.get_or_init(detect_hw)
-}
-
-#[cfg(all(target_arch = "x86_64", feature = "force-scalar"))]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, is_x86_feature_detected!("fma"))
-}
-
-#[cfg(all(not(target_arch = "x86_64"), feature = "force-scalar"))]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, false)
-}
-
-#[cfg(not(feature = "force-scalar"))]
-#[allow(dead_code)]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, false)
 }
 
 /// The tier the kernels will actually use for the next call: the
@@ -172,7 +257,7 @@ pub fn active_isa() -> Isa {
     if force_scalar() {
         Isa::Scalar
     } else {
-        detection().0
+        detection().isa
     }
 }
 
@@ -180,16 +265,35 @@ pub fn active_isa() -> Isa {
 /// ignoring the force switches (still [`Isa::Scalar`] under the
 /// `force-scalar` feature, which disables detection entirely).
 pub fn detected_isa() -> Isa {
-    detection().0
+    detection().isa
+}
+
+/// The int8 tier the next [`gemm_i8_packed`](crate::kernels::gemm_i8_packed)
+/// call will use: the detected tier, or [`Int8Isa::Scalar`] while
+/// [`set_force_scalar`] is on or when built with the `force-scalar`
+/// feature.
+pub fn active_int8_isa() -> Int8Isa {
+    if force_scalar() {
+        Int8Isa::Scalar
+    } else {
+        detection().int8
+    }
+}
+
+/// The int8 tier runtime feature detection selected for this host,
+/// ignoring [`set_force_scalar`] (still [`Int8Isa::Scalar`] under the
+/// `force-scalar` feature).
+pub fn detected_int8_isa() -> Int8Isa {
+    detection().int8
 }
 
 /// Whether the host has a hardware FMA unit (drives the choice of
 /// compiled copy for the scalar kernels on x86-64).
 pub(crate) fn fma_available() -> bool {
-    detection().1
+    detection().fma
 }
 
-use crate::kernels::Layout;
+use crate::kernels::{Layout, PackedI8};
 use std::ops::Range;
 
 /// Cache-blocking budget for one group of packed A row-block panels;
@@ -472,83 +576,108 @@ fn naive_rows_fma(
     crate::kernels::naive_rows_body(a, b, layout, m, n, k, rows, out_rows, acc);
 }
 
-/// Runs the active SIMD tier's int8 kernel, or returns `false` when
-/// the scalar path is active (the caller then runs the portable AXPY
-/// reference). Kept here so `unsafe` dispatch stays inside this
-/// module.
-pub(crate) fn try_gemm_i8(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [i32],
-) -> bool {
-    match active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => {
-            // SAFETY: Avx2/Avx512 are selected only after
-            // `is_x86_feature_detected!("avx2")` succeeded on this CPU
-            // (see `detect_hw`), satisfying the kernel's target feature.
-            unsafe { x86::gemm_i8(a, b, m, n, k, out) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            neon::gemm_i8(a, b, m, n, k, out);
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Runs the active SIMD tier's fused int8-dequant kernel, or returns
-/// `false` when the scalar path is active. See [`try_gemm_i8`].
+/// Runs the packed int8 GEMM with its dequantization epilogue on tier
+/// `isa`: `out[i][j] (+)= (scales[i]·sw) · (acc[i][j] − zw·sums[i])`,
+/// `acc = a · w` in i32. Every tier computes the same wrapping i32
+/// values and the same epilogue, so the output bits never depend on
+/// the tier. Kept here so `unsafe` dispatch stays inside this module.
+///
+/// The caller ([`gemm_i8_packed`](crate::kernels::gemm_i8_packed))
+/// has checked every length against `m` and `w.shape()`.
+///
+/// # Panics
+///
+/// Panics if this host cannot run `isa` (see [`Int8Isa::supported`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_i8_dequant(
+pub(crate) fn gemm_i8_packed_on(
+    isa: Int8Isa,
     a: &[i8],
-    b: &[i8],
+    w: &PackedI8,
     m: usize,
-    n: usize,
-    k: usize,
     scales: &[f32],
     sums: &[i32],
     sw: f32,
     zw: i32,
     out: &mut [f32],
     accumulate: bool,
-) -> bool {
-    match active_isa() {
+) {
+    assert!(
+        isa.supported(),
+        "int8 tier {} is not available on this host",
+        isa.name()
+    );
+    let (k, n) = w.shape();
+    let codes = w.codes();
+    match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => {
-            // SAFETY: Avx2/Avx512 are selected only after
-            // `is_x86_feature_detected!("avx2")` succeeded on this CPU
-            // (see `detect_hw`), satisfying the kernel's target feature.
-            unsafe { x86::gemm_i8_dequant(a, b, m, n, k, scales, sums, sw, zw, out, accumulate) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            neon::gemm_i8_dequant(a, b, m, n, k, scales, sums, sw, zw, out, accumulate);
-            true
-        }
-        _ => false,
+        // SAFETY: `supported()` above means detection found avx2,
+        // avx512f, avx512bw and avx512vnni on this CPU (see
+        // `detect_hw`), so the kernel's target features are present.
+        Int8Isa::Avx512Vnni => unsafe {
+            x86::gemm_i8_vnni(
+                a,
+                codes,
+                w.colsum128(),
+                m,
+                n,
+                k,
+                scales,
+                sums,
+                sw,
+                zw,
+                out,
+                accumulate,
+            )
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported()` above means detection found avx2 on
+        // this CPU (see `detect_hw`).
+        Int8Isa::Avx2 => unsafe {
+            x86::gemm_i8_avx2(a, codes, m, n, k, scales, sums, sw, zw, out, accumulate)
+        },
+        _ => crate::kernels::scalar_gemm_i8_packed(
+            a, codes, m, n, k, scales, sums, sw, zw, out, accumulate,
+        ),
     }
 }
 
-/// Scalar dot product of activation row `a_row` with column `j` of
-/// the row-major `[k, n]` int8 weight matrix — the column tail of the
-/// vector int8 kernels. Skips zero activations like the AXPY
-/// reference (exact for integers).
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-pub(crate) fn i8_dot_col(a_row: &[i8], b: &[i8], n: usize, j: usize) -> i32 {
-    let mut acc = 0i32;
-    for (p, &cv) in a_row.iter().enumerate() {
-        if cv != 0 {
-            acc += cv as i32 * b[p * n + j] as i32;
-        }
+/// Runs the int8 quantize-and-pack loop through its fastest compiled
+/// copy: the `avx2`-target-feature clone on x86-64 hosts with AVX2
+/// (the per-weight rounding and division vectorize), the plain build
+/// elsewhere. Both compile the identical source, so the codes never
+/// depend on which copy ran.
+pub(crate) fn pack_i8<T: Copy>(
+    src: &[T],
+    k: usize,
+    n: usize,
+    code: impl Fn(T) -> i8,
+    codes: &mut [i8],
+    colsum: &mut [i32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if detection().avx2 {
+        // SAFETY: `detection().avx2` is true only after
+        // `is_x86_feature_detected!("avx2")` succeeded on this CPU, so
+        // the target-feature contract of the clone holds.
+        unsafe { pack_i8_avx2(src, k, n, code, codes, colsum) };
+        return;
     }
-    acc
+    crate::kernels::pack_i8_body(src, k, n, code, codes, colsum);
+}
+
+/// The quantize-and-pack body compiled with the `avx2` target feature
+/// — see [`pack_i8`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pack_i8_avx2<T: Copy>(
+    src: &[T],
+    k: usize,
+    n: usize,
+    code: impl Fn(T) -> i8,
+    codes: &mut [i8],
+    colsum: &mut [i32],
+) {
+    crate::kernels::pack_i8_body(src, k, n, code, codes, colsum);
 }
 
 /// Serializes tests that toggle the global [`set_force_scalar`]

@@ -23,14 +23,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable per-thread packing scratch. `a` holds all `[k][MR]`
-/// row-block panels, `b` holds all `[k][NR]` panels of the call, and
-/// `i8acc` is the per-row i32 accumulator strip used by the scalar
-/// fused int8 path.
+/// row-block panels and `b` holds all `[k][NR]` panels of the call;
+/// `i8_quads` holds the int8 kernels' per-call activation quads.
 #[derive(Default)]
 pub(crate) struct PackScratch {
     pub(crate) a: Vec<f32>,
     pub(crate) b: Vec<f32>,
-    pub(crate) i8acc: Vec<i32>,
+    i8_quads: Vec<u64>,
 }
 
 thread_local! {
@@ -43,26 +42,20 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut PackScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Runs `f(row, strip)` for each of `rows` rows with this thread's
-/// reusable `n`-length i32 strip, re-zeroed before every call. This is
-/// the scalar fused-int8 path's whole scratch story — one strip
-/// instead of an `m × n` accumulator buffer — kept here so the
-/// amortized growth lives in the sanctioned module.
-pub(crate) fn for_each_zeroed_i8_strip(
-    n: usize,
-    rows: usize,
-    mut f: impl FnMut(usize, &mut [i32]),
-) {
-    with_scratch(|s| {
-        s.i8acc.clear();
-        s.i8acc.resize(n, 0);
-        for i in 0..rows {
-            for v in s.i8acc.iter_mut() {
-                *v = 0;
-            }
-            f(i, &mut s.i8acc);
-        }
-    });
+/// Moves this thread's int8 activation-quad buffer out of the scratch,
+/// sized to `len` (contents unspecified; the caller overwrites them).
+/// Return it with [`put_i8_quads`]. A move instead of a closure, so the
+/// `#[target_feature]` kernels keep their intrinsics inline; the
+/// amortized growth lives here, in the sanctioned module.
+pub(crate) fn take_i8_quads(len: usize) -> Vec<u64> {
+    let mut v = with_scratch(|s| std::mem::take(&mut s.i8_quads));
+    v.resize(len, 0);
+    v
+}
+
+/// Hands the buffer from [`take_i8_quads`] back for the next call.
+pub(crate) fn put_i8_quads(v: Vec<u64>) {
+    with_scratch(|s| s.i8_quads = v);
 }
 
 // ---------------------------------------------------------------------

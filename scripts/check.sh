@@ -46,5 +46,12 @@ mkdir -p target
 cargo run --release -p voyager-bench --bin voyagerctl -- metrics --smoke \
     > target/metrics.smoke.json
 echo "    wrote target/metrics.smoke.json"
+# The dump must name the f32 and the int8 kernel tier that ran.
+for gauge in tensor.gemm.dispatch tensor.gemm.int8_dispatch; do
+    grep -q "\"$gauge\": [0-9]" target/metrics.smoke.json || {
+        echo "metrics dump lacks the $gauge gauge" >&2
+        exit 1
+    }
+done
 
 echo "==> all checks passed"
