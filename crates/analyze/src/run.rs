@@ -92,7 +92,7 @@ const SANCTIONED_MODULES: &[&str] = &[
 ];
 
 /// Result materializers at the API boundary: they build the returned
-/// `Vec` (the measured 72 B/call of `predict_fast`) but everything
+/// `Vec` (the only per-call allocation of `predict_fast`) but everything
 /// they call must still be allocation-free. This list is pinned by the
 /// workspace gate test so it can only grow deliberately.
 const SANCTIONED_FNS: &[&str] = &[

@@ -1,13 +1,11 @@
 //! The `unsafe-audit` pass: every `unsafe` site needs a `// SAFETY:`
 //! comment, and all sites land in a per-crate inventory.
 //!
-//! Every library crate in the workspace carries
-//! `#![forbid(unsafe_code)]`; the only legal `unsafe` today lives in
-//! bench binaries (the counting `GlobalAlloc` shims). ROADMAP item 1
-//! is about to add `std::arch` SIMD kernels, so the audit rails go up
-//! *before* that code lands: each `unsafe` block, fn, impl or trait
-//! must have an adjacent `// SAFETY:` comment explaining the proof
-//! obligation, rustc-`undocumented_unsafe_blocks`-style, and the full
+//! The workspace's only `unsafe` lives in `voyager-tensor`'s `simd`
+//! module (`std::arch` kernels and their dispatch). Each `unsafe`
+//! block, fn, impl or trait must have an adjacent `// SAFETY:` comment
+//! explaining the proof obligation,
+//! rustc-`undocumented_unsafe_blocks`-style, and the full
 //! inventory is pinned by the workspace gate test so new sites are a
 //! conscious, reviewed decision.
 //!

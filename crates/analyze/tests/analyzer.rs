@@ -175,8 +175,7 @@ fn real_workspace_unsafe_inventory_is_pinned_and_documented() {
         .filter(|s| !s.has_safety_comment)
         .collect();
     assert!(undocumented.is_empty(), "{undocumented:#?}");
-    // The whole inventory is the two bench-bin counting allocators
-    // (10 sites) plus the tensor SIMD module: dispatch into
+    // The whole inventory is the tensor SIMD module: dispatch into
     // `#[target_feature]` kernels in simd/mod.rs, raw vector
     // loads/stores in simd/x86.rs (f32 tiles, packed int8 VNNI and
     // AVX2 tiers) and simd/neon.rs (f32 tiles only). A new `unsafe`
@@ -184,13 +183,14 @@ fn real_workspace_unsafe_inventory_is_pinned_and_documented() {
     // deliberately.
     assert_eq!(
         report.unsafe_sites.len(),
-        32,
+        22,
         "unsafe inventory changed: {:#?}",
         report.unsafe_sites
     );
-    assert!(report.unsafe_sites.iter().all(|s| {
-        s.path.starts_with("crates/bench/src/bin/") || s.path.starts_with("crates/tensor/src/simd/")
-    }));
+    assert!(report
+        .unsafe_sites
+        .iter()
+        .all(|s| s.path.starts_with("crates/tensor/src/simd/")));
 }
 
 #[test]

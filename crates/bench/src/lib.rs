@@ -229,8 +229,8 @@ pub fn print_table(title: &str, columns: &[&str], rows: &[(String, Vec<f64>)]) {
     }
 }
 
-/// Shared synthetic multi-workload fleet used by the `pr8_fleet` bench
-/// and `voyagerctl fleet-bench`: per-workload request streams, shard
+/// Shared synthetic multi-workload fleet used by `voyagerctl
+/// fleet-bench` and the fleet tests: per-workload request streams, shard
 /// specs cycling through the serving tiers, and train-then-publish
 /// helpers over an in-memory [`ModelRegistry`].
 pub mod fleet_demo {

@@ -162,30 +162,30 @@ pub fn load_tables<R: Read>(mut reader: R) -> Result<DistilledTables, TableIoErr
         memory_budget_bytes,
         distill_batch,
     };
-    if cfg.layout_bytes() > cfg.memory_budget_bytes {
-        return Err(TableIoError::Corrupt("layout exceeds recorded budget"));
+    // The budget is read from the same file, so it bounds nothing by
+    // itself: it only rejects self-inconsistent headers. What keeps a
+    // corrupt header from allocating gigabytes is `read_vec`, which
+    // grows each array only with bytes the reader actually supplied.
+    match cfg.layout_bytes() {
+        None => return Err(TableIoError::Corrupt("layout size overflows")),
+        Some(bytes) if bytes > cfg.memory_budget_bytes => {
+            return Err(TableIoError::Corrupt("layout exceeds recorded budget"))
+        }
+        Some(_) => {}
     }
     let page_buckets = 1usize << page_buckets_log2;
     let offset_buckets = 1usize << offset_buckets_log2;
     let layer =
         |buckets: usize, topk: usize, reader: &mut R| -> Result<LayerArrays, TableIoError> {
-            let mut tags = vec![0u64; buckets];
-            for t in &mut tags {
-                *t = u64::from_le_bytes(read_array(reader)?);
-            }
-            let mut mass = vec![0f32; buckets];
-            for m in &mut mass {
-                *m = f32::from_le_bytes(read_array(reader)?);
-            }
-            let mut tokens = vec![0u32; buckets * topk];
-            for t in &mut tokens {
-                *t = read_u32(reader)?;
-            }
-            let mut weights = vec![0f32; buckets * topk];
-            for w in &mut weights {
-                *w = f32::from_le_bytes(read_array(reader)?);
-            }
-            Ok((tags, mass, tokens, weights))
+            let slots = buckets
+                .checked_mul(topk)
+                .ok_or(TableIoError::Corrupt("layer size overflows"))?;
+            Ok((
+                read_vec(reader, buckets, u64::from_le_bytes)?,
+                read_vec(reader, buckets, f32::from_le_bytes)?,
+                read_vec(reader, slots, u32::from_le_bytes)?,
+                read_vec(reader, slots, f32::from_le_bytes)?,
+            ))
         };
     let (page_tags, page_mass, page_tokens, page_weights) =
         layer(page_buckets, page_topk, &mut reader)?;
@@ -204,6 +204,33 @@ pub fn load_tables<R: Read>(mut reader: R) -> Result<DistilledTables, TableIoErr
             offset_weights,
         },
     ))
+}
+
+/// Reads `len` little-endian `N`-byte values. The length is untrusted:
+/// the byte buffer grows only as the reader supplies data, so a huge
+/// `len` over a short stream fails with `UnexpectedEof` after
+/// allocating no more than the stream held.
+fn read_vec<T, const N: usize, R: Read>(
+    reader: &mut R,
+    len: usize,
+    decode: fn([u8; N]) -> T,
+) -> Result<Vec<T>, TableIoError> {
+    let want = len
+        .checked_mul(N)
+        .ok_or(TableIoError::Corrupt("array size overflows"))? as u64;
+    let mut bytes = Vec::new();
+    reader.take(want).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != want {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(bytes
+        .chunks_exact(N)
+        .map(|chunk| {
+            let mut raw = [0u8; N];
+            raw.copy_from_slice(chunk);
+            decode(raw)
+        })
+        .collect())
 }
 
 fn read_array<const N: usize, R: Read>(reader: &mut R) -> io::Result<[u8; N]> {
@@ -269,6 +296,68 @@ mod tests {
             load_tables(buf.as_slice()).unwrap_err(),
             TableIoError::BadVersion(9)
         ));
+    }
+
+    /// Header with the largest bucket exponents the loader accepts and
+    /// a budget that admits them: 2^28 buckets per layer, followed by
+    /// no payload at all.
+    fn huge_header() -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        for field in [1u32, 1, 1, 28, 28] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn huge_geometry_over_a_short_stream_is_an_io_error() {
+        assert!(matches!(
+            load_tables(huge_header().as_slice()).unwrap_err(),
+            TableIoError::Io(_)
+        ));
+    }
+
+    #[test]
+    fn overflowing_layout_is_corrupt() {
+        let mut buf = huge_header();
+        buf[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // page_topk
+        buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // offset_topk
+        assert!(matches!(
+            load_tables(buf.as_slice()).unwrap_err(),
+            TableIoError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn every_truncation_and_header_flip_errs_or_loads_a_valid_table() {
+        let mut buf = Vec::new();
+        save_tables(&mut buf, &sample_tables()).unwrap();
+        for len in 0..buf.len() {
+            assert!(load_tables(&buf[..len]).is_err(), "truncated at {len}");
+        }
+        // magic, version, five u32 geometry fields, u64 budget, u32 batch.
+        const HEADER: usize = 4 + 4 + 5 * 4 + 8 + 4;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for byte in 0..HEADER {
+            for _ in 0..16 {
+                // xorshift64: a fixed-seed stream of nonzero flip masks.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let mask = (state as u8).max(1);
+                let mut flipped = buf.clone();
+                flipped[byte] ^= mask;
+                if let Ok(t) = load_tables(flipped.as_slice()) {
+                    t.config().validate();
+                    assert!(t.memory_bytes() <= t.config().memory_budget_bytes);
+                    t.predict_quiet(&[3, 0], 1, 4);
+                }
+            }
+        }
     }
 
     #[test]

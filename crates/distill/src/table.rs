@@ -77,9 +77,17 @@ pub struct TableConfig {
 }
 
 /// Bytes of one table entry: tag + mass + `topk` (token, weight)
-/// pairs.
-fn entry_bytes(topk: usize) -> usize {
-    8 + 4 + topk * (4 + 4)
+/// pairs, or `None` if that overflows `usize`.
+fn entry_bytes(topk: usize) -> Option<usize> {
+    topk.checked_mul(4 + 4)?.checked_add(8 + 4)
+}
+
+/// Bytes of one layer: `2^buckets_log2` entries of width `topk`, or
+/// `None` if that overflows `usize`.
+fn layer_bytes(buckets_log2: u32, topk: usize) -> Option<usize> {
+    1usize
+        .checked_shl(buckets_log2)?
+        .checked_mul(entry_bytes(topk)?)
 }
 
 impl TableConfig {
@@ -99,9 +107,10 @@ impl TableConfig {
         );
         let (page_topk, offset_topk, history) = (8, 4, 4);
         let offset_buckets_log2 = 10;
-        let offset_bytes = (1usize << offset_buckets_log2) * entry_bytes(offset_topk);
-        let remaining = budget - offset_bytes;
-        let max_buckets = remaining / entry_bytes(page_topk);
+        // Fixed small widths: neither size can overflow.
+        let offset_bytes = layer_bytes(offset_buckets_log2, offset_topk).unwrap_or(usize::MAX);
+        let remaining = budget.saturating_sub(offset_bytes);
+        let max_buckets = remaining / entry_bytes(page_topk).unwrap_or(usize::MAX);
         // Largest power of two with `buckets * entry <= remaining`.
         let page_buckets_log2 = usize::BITS - 1 - max_buckets.leading_zeros();
         let cfg = TableConfig {
@@ -118,10 +127,11 @@ impl TableConfig {
     }
 
     /// Bytes the two tables occupy with this geometry (fixed at
-    /// construction; insertion never changes it).
-    pub fn layout_bytes(&self) -> usize {
-        (1usize << self.page_buckets_log2) * entry_bytes(self.page_topk)
-            + (1usize << self.offset_buckets_log2) * entry_bytes(self.offset_topk)
+    /// construction; insertion never changes it), or `None` if the
+    /// geometry's size overflows `usize`.
+    pub fn layout_bytes(&self) -> Option<usize> {
+        layer_bytes(self.page_buckets_log2, self.page_topk)?
+            .checked_add(layer_bytes(self.offset_buckets_log2, self.offset_topk)?)
     }
 
     /// Validates internal consistency, including that the layout fits
@@ -142,10 +152,10 @@ impl TableConfig {
             self.page_buckets_log2 <= 28 && self.offset_buckets_log2 <= 28,
             "bucket exponent too large"
         );
+        let layout = self.layout_bytes();
         assert!(
-            self.layout_bytes() <= self.memory_budget_bytes,
-            "table layout ({} bytes) exceeds the memory budget ({} bytes)",
-            self.layout_bytes(),
+            layout.is_some_and(|bytes| bytes <= self.memory_budget_bytes),
+            "table layout ({layout:?} bytes) exceeds the memory budget ({} bytes)",
             self.memory_budget_bytes
         );
     }
@@ -594,7 +604,7 @@ mod tests {
         let mut t = DistilledTables::new(&cfg);
         let bytes = t.memory_bytes();
         assert!(bytes <= cfg.memory_budget_bytes);
-        assert_eq!(bytes, cfg.layout_bytes());
+        assert_eq!(Some(bytes), cfg.layout_bytes());
         for i in 0..10_000usize {
             t.insert_page(&[i, i * 3], &[(i as u32 % 50, 0.5)]);
             t.insert_offset(i % 997, &[(i as u32 % 64, 0.5)]);
@@ -618,8 +628,8 @@ mod tests {
         let big = TableConfig::for_budget(4 * 1024 * 1024);
         small.validate();
         big.validate();
-        assert!(small.layout_bytes() <= 64 * 1024);
-        assert!(big.layout_bytes() <= 4 * 1024 * 1024);
+        assert!(small.layout_bytes().is_some_and(|b| b <= 64 * 1024));
+        assert!(big.layout_bytes().is_some_and(|b| b <= 4 * 1024 * 1024));
         assert!(big.page_buckets_log2 > small.page_buckets_log2);
     }
 }

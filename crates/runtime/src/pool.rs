@@ -183,7 +183,7 @@ impl Default for ChunkPool {
 /// Work budget (in `2·m·n·k` flops) per [`par_gemm`] chunk. Problems
 /// below one budget stay on the calling thread: for small problems
 /// (e.g. 64³ ≈ 0.5 Mflop), scoped-thread spawn/join overhead exceeds
-/// the compute itself — BENCH_pr3_kernels.json once measured the
+/// the compute itself — an earlier kernel benchmark once measured the
 /// parallel NT/64 path at roughly half the blocked kernel's
 /// throughput. Larger problems fan out to `flops / budget` chunks,
 /// capped by the pool width, so crossing the threshold never jumps
@@ -319,13 +319,16 @@ mod tests {
             let b = Tensor2::uniform(bshape.0, bshape.1, 1.0, &mut rng);
             let mut reference = Tensor2::zeros(1, 1);
             kernels::gemm(&a, &b, layout, &mut reference);
-            for threads in [1, 2, 3, 8] {
+            for threads in [1, 2, 3, 4, 8] {
                 let pool = ChunkPool::new(threads);
-                let mut out = Tensor2::zeros(1, 1);
-                par_gemm(&pool, &a, &b, layout, &mut out);
-                assert_eq!(out.shape(), (m, n));
-                for (x, y) in out.as_slice().iter().zip(reference.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{layout:?} threads={threads}");
+                // Repeated calls on one pool must agree as well.
+                for _ in 0..3 {
+                    let mut out = Tensor2::zeros(1, 1);
+                    par_gemm(&pool, &a, &b, layout, &mut out);
+                    assert_eq!(out.shape(), (m, n));
+                    for (x, y) in out.as_slice().iter().zip(reference.as_slice()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{layout:?} threads={threads}");
+                    }
                 }
             }
         }

@@ -94,9 +94,14 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, ReadTraceError> {
     if version != VERSION {
         return Err(ReadTraceError::BadVersion(version));
     }
-    let name_len = read_u32(&mut reader)? as usize;
-    let mut name_bytes = vec![0u8; name_len];
-    reader.read_exact(&mut name_bytes)?;
+    // The length field is untrusted: read through `take` so the buffer
+    // only ever grows with bytes the stream actually supplied.
+    let name_len = u64::from(read_u32(&mut reader)?);
+    let mut name_bytes = Vec::new();
+    (&mut reader).take(name_len).read_to_end(&mut name_bytes)?;
+    if name_bytes.len() as u64 != name_len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     let name = String::from_utf8(name_bytes).map_err(|_| ReadTraceError::BadName)?;
     let count = read_u64(&mut reader)? as usize;
     let mut trace = Trace::new(name);
@@ -198,6 +203,30 @@ mod tests {
             read_trace(buf.as_slice()).unwrap_err(),
             ReadTraceError::Io(_)
         ));
+    }
+
+    #[test]
+    fn huge_name_length_over_a_short_stream_is_an_error() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            read_trace(buf.as_slice()).unwrap_err(),
+            ReadTraceError::Io(_)
+        ));
+        buf.extend_from_slice(b"short name");
+        assert!(read_trace(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &sample()).unwrap();
+        for len in 0..buf.len() {
+            assert!(read_trace(&buf[..len]).is_err(), "truncated at {len}");
+        }
+        assert_eq!(read_trace(buf.as_slice()).unwrap(), sample());
     }
 
     #[test]

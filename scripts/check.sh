@@ -24,20 +24,17 @@ cargo run --release -p voyager-analyze -- --json > target/analyze.json
 echo "    wrote target/analyze.json"
 
 run cargo build --release
+# Every workspace crate: `default-members` in Cargo.toml makes the
+# plain command cover all of them.
 run cargo test -q
-# The core crate: the fast path's bitwise match with the training
-# graph, the hierarchical head and the online protocol.
-run cargo test -q -p voyager
 
 # The numeric suite again with the SIMD tiers compiled out: the scalar
 # fallback must stand on its own (CI runs the same job).
 run cargo test -q -p voyager-tensor -p voyager-nn -p voyager-runtime -p voyager \
     --features voyager-tensor/force-scalar
-run cargo run --release -p voyager-bench --bin pr3_kernels -- --smoke
-run cargo run --release -p voyager-bench --bin pr5_infer -- --smoke
-run cargo run --release -p voyager-bench --bin pr6_table -- --smoke
-run cargo run --release -p voyager-bench --bin pr8_fleet -- --smoke
-run cargo run --release -p voyager-bench --bin pr10_vocab -- --smoke
+# The micro-benchmark in smoke mode: small sizes, and the gate that
+# `par_gemm` keeps up with the single-thread kernel.
+run cargo bench -p voyager-bench --bench overheads -- --smoke
 
 # Observability smoke: the metrics dump must stay schema-valid JSON
 # (voyagerctl validates its own output and fails otherwise).
